@@ -1,8 +1,8 @@
 //! Criterion benchmarks of the full pipelines: sequential vs rayon
 //! training throughput, the growth-mode × executor matrix of the unified
 //! engine, stochastic-sampling variants plus the eval-pipeline overhead,
-//! batch inference (per-record node walk vs the flat-ensemble blocked
-//! engine and its parallel modes), the serving layer's per-request
+//! batch inference (the per-record node-walk oracle vs the compiled
+//! lane kernel and its parallel driver), the serving layer's per-request
 //! scheduler overhead, and the end-to-end timing-model evaluation used
 //! by the figure harnesses.
 
@@ -11,8 +11,8 @@ use std::hint::black_box;
 
 use booster_datagen::{default_objective, generate_binned, Benchmark};
 use booster_gbdt::grow::GrowthStrategy;
-use booster_gbdt::infer::{ExecMode, FlatEnsemble};
-use booster_gbdt::parallel::{train_parallel, ParallelExec};
+use booster_gbdt::infer::FlatEnsemble;
+use booster_gbdt::parallel::ParallelExec;
 use booster_gbdt::train::{train, train_with, TrainConfig};
 use booster_sim::{BandwidthModel, BoosterConfig, BoosterSim, HostModel};
 
@@ -32,7 +32,7 @@ fn bench_training(c: &mut Criterion) {
             b.iter(|| black_box(train(&data, &mirror, &cfg)))
         });
         g.bench_function(BenchmarkId::new("parallel", bench.name()), |b| {
-            b.iter(|| black_box(train_parallel(&data, &mirror, &cfg)))
+            b.iter(|| black_box(train_with(&data, &mirror, &cfg, &ParallelExec::default())))
         });
     }
     g.finish();
@@ -107,7 +107,7 @@ fn bench_stochastic(c: &mut Criterion) {
         });
     }
     // The eval pipeline's overhead: identical training plus per-tree
-    // flat-ensemble scoring of the holdout.
+    // scoring of the holdout.
     g.bench_function(BenchmarkId::new("train", "full+eval"), |b| {
         b.iter(|| {
             black_box(grow_forest_with_eval(
@@ -123,9 +123,8 @@ fn bench_stochastic(c: &mut Criterion) {
 }
 
 /// Batch scoring: the per-record `Vec<Node>` pointer walk
-/// (`Model::predict_batch`) against the flat-ensemble blocked engine in
-/// its three execution modes. The node-walk/flat-blocked ratio is the
-/// speedup the contiguous 16-byte-entry layout buys on one core.
+/// (`Model::predict_batch`, the oracle) against the compiled lane kernel
+/// on one core and fanned over cores by the record-range driver.
 fn bench_inference(c: &mut Criterion) {
     let (data, mirror) = generate_binned(Benchmark::Higgs, 30_000, 1);
     let cfg = TrainConfig {
@@ -136,24 +135,25 @@ fn bench_inference(c: &mut Criterion) {
     };
     let (model, _) = train(&data, &mirror, &cfg);
     let flat = FlatEnsemble::from_model(&model).expect("depth-6 trees lower to tables");
+    // Compile outside the timing loop so the bench measures the kernel,
+    // not the one-time lowering.
+    let compiled = flat.compiled();
+    let mut out = vec![0.0f64; data.num_records()];
     let mut g = c.benchmark_group("inference");
     g.sample_size(10);
     g.throughput(Throughput::Elements(data.num_records() as u64));
     g.bench_function("node_walk", |b| b.iter(|| black_box(model.predict_batch(black_box(&data)))));
-    g.bench_function("flat_blocked", |b| {
-        b.iter(|| black_box(flat.predict_batch(black_box(&data), ExecMode::Sequential)))
-    });
-    g.bench_function("flat_record_parallel", |b| {
-        b.iter(|| black_box(flat.predict_batch(black_box(&data), ExecMode::RecordParallel)))
-    });
-    g.bench_function("flat_tree_parallel", |b| {
-        b.iter(|| black_box(flat.predict_batch(black_box(&data), ExecMode::TreeParallel)))
-    });
-    // Warm the compile cache outside the timing loop so the bench
-    // measures the interpreter, not the one-time lowering.
-    let _ = flat.compiled();
     g.bench_function("compiled", |b| {
-        b.iter(|| black_box(flat.predict_batch(black_box(&data), ExecMode::Compiled)))
+        b.iter(|| {
+            compiled.score_into(black_box(&data), &mut out);
+            black_box(out[0])
+        })
+    });
+    g.bench_function("compiled_parallel", |b| {
+        b.iter(|| {
+            compiled.score_into_parallel(black_box(&data), &mut out);
+            black_box(out[0])
+        })
     });
     g.finish();
 }
@@ -212,10 +212,9 @@ fn bench_serving(c: &mut Criterion) {
 /// to the binary baseline at a matched tree budget (K=5 softmax grows
 /// the same *total* trees, so the delta is the margin-matrix bookkeeping
 /// and the coupled gradient refresh, not extra tree work), what pairwise
-/// λ-gradient refresh costs on query-grouped data, and the K=1 overhead
-/// of the outputs-shaped scoring entry points over the scalar ones
-/// (the price every scalar objective pays for the generalized surface —
-/// kept near zero by dispatching K=1 to the scalar kernels).
+/// λ-gradient refresh costs on query-grouped data, and what `K` costs the
+/// one K-aware scoring kernel: the same trees scored into one output
+/// slot and round-robined into five.
 fn bench_objectives(c: &mut Criterion) {
     use booster_datagen::{generate_multiclass, generate_ranking};
     use booster_gbdt::gradients::Objective;
@@ -269,24 +268,27 @@ fn bench_objectives(c: &mut Criterion) {
         b.iter(|| black_box(train(&rank, &rank_mirror, &rank_cfg)))
     });
 
-    // K=1 margin-matrix overhead: the generalized outputs-shaped scoring
-    // surface against the scalar fast path on the same binary model.
+    // K cost of the kernel: the binary model's trees scored as they are
+    // (K=1) and fed round-robin into five softmax slots (same tree work;
+    // the delta is slot bookkeeping plus the softmax link).
     let (model, _) = train(&binary, &binary_mirror, &binary_cfg);
-    let flat = FlatEnsemble::from_model(&model).expect("trees lower");
-    let mut out = vec![0.0f64; binary.num_records()];
+    let as_k5 = booster_gbdt::predict::Model {
+        objective: Objective::Softmax { num_class: 5 },
+        num_outputs: 5,
+        ..model.clone()
+    };
     g.throughput(Throughput::Elements(binary.num_records() as u64));
-    g.bench_function(BenchmarkId::new("score_k1", "scalar_path"), |b| {
-        b.iter(|| {
-            flat.score_into(black_box(&binary), ExecMode::Sequential, &mut out);
-            black_box(out[0])
-        })
-    });
-    g.bench_function(BenchmarkId::new("score_k1", "outputs_path"), |b| {
-        b.iter(|| {
-            flat.score_outputs_into(black_box(&binary), &mut out);
-            black_box(out[0])
-        })
-    });
+    for (id, m) in [("k1", &model), ("k5", &as_k5)] {
+        let flat = FlatEnsemble::from_model(m).expect("trees lower");
+        let compiled = flat.compiled();
+        let mut out = vec![0.0f64; binary.num_records() * compiled.num_outputs()];
+        g.bench_function(BenchmarkId::new("score", id), |b| {
+            b.iter(|| {
+                compiled.score_into(black_box(&binary), &mut out);
+                black_box(out[0])
+            })
+        });
+    }
     g.finish();
 }
 

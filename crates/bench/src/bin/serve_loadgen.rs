@@ -11,11 +11,11 @@
 //!
 //! The default workload is a wide, shallow serving ensemble (the
 //! paper's IoT / Mq2008 ranking shape): thousands of depth-4 trees
-//! whose flat tables span several MB, so per-request scoring
+//! whose program spans several MB, so per-request scoring
 //! (`max_batch = 1`) re-streams the whole model through the cache
 //! hierarchy for every single record, while a coalesced batch walks
-//! each tree's table across the whole batch while it is hot — the
-//! cache-blocking advantage of the flat engine, which micro-batching
+//! each cluster's code across the whole batch while it is hot — the
+//! cache-blocking advantage of the compiled kernel, which micro-batching
 //! exists to feed, on top of amortized scheduler hops. At this scale
 //! coalesced batching must reach ≥ 2x the throughput of per-request
 //! scoring at equal or better p99 (asserted). Knobs: `SERVE_RECORDS`,

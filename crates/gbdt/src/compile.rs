@@ -1,11 +1,13 @@
 //! Compiler from [`FlatEnsemble`] to a partitioned branch-free bytecode
-//! program, plus the blocked interpreter that runs it.
+//! program, plus the blocked lane kernel that runs it — the one
+//! production scoring engine (the per-record node walk in
+//! [`crate::predict`] is kept only as the differential oracle).
 //!
-//! The flat engine ([`crate::infer`]) already removed per-node enum
-//! dispatch, but every walk step still pays indirection (entry, field,
-//! and absent loads from three arrays) and a data-dependent leaf branch
-//! that the hardware mispredicts near the leaves. Compilation removes
-//! both, the way the accelerator's fixed-function walk does:
+//! A walk over the lowered tree tables ([`crate::infer`]) pays three
+//! dependent loads per step (entry, field, absent) and a data-dependent
+//! leaf branch that the hardware mispredicts near the leaves.
+//! Compilation removes both, the way the accelerator's fixed-function
+//! walk does:
 //!
 //! 1. **Specialization pass** — every tree-table entry becomes one
 //!    fully resolved [`Instr`]: original field id, absent bin, and
@@ -23,21 +25,27 @@
 //!    order, into contiguous [`ClusterSpan`]s whose instruction +
 //!    weight bytes stay under [`CompileOptions::cluster_bytes`] — the
 //!    software analogue of sizing a BU's tree tables to its SRAM. The
-//!    interpreter streams every record block through one cluster
-//!    before touching the next, so cluster code stays cache-resident
-//!    across the whole batch.
+//!    kernel streams every record block through one cluster before
+//!    touching the next, so cluster code stays cache-resident across
+//!    the whole batch.
 //!
-//! [`CompiledEnsemble::score_into`] then interprets the program in
-//! cache-sized record blocks with [`LANES`] records walked in lockstep
-//! per tree, and is **bit-identical** to [`Model::predict_batch`]:
-//! clusters partition trees contiguously in ensemble order, so each
-//! record's leaf weights are still accumulated in exact tree order
+//! [`CompiledEnsemble::score_into`] then runs the program in cache-sized
+//! record blocks with [`LANES`] records walked in lockstep per tree, for
+//! any number of outputs `K` (tree `t` feeds output slot `t % K`), and
+//! is **bit-identical** to the oracle
+//! ([`crate::predict::Model::predict_batch_outputs`]): clusters partition
+//! trees contiguously in ensemble order, so each output slot of each
+//! record still accumulates its leaf weights in exact tree order
 //! (`tests/compiled_differential.rs` enforces this across growth
-//! strategies, truncations, and partition shapes).
+//! strategies, output counts, truncations, and partition shapes).
+//! [`CompiledEnsemble::score_into_parallel`] is the one parallel
+//! driver: contiguous record ranges of the same kernel fanned over
+//! cores.
+
+use rayon::prelude::*;
 
 use crate::infer::FlatEnsemble;
-use crate::predict::Model;
-use crate::preprocess::BinnedDataset;
+use crate::preprocess::{BinIndex, BinMatrix, BinnedDataset};
 use crate::program::{
     program_from_bytes, program_to_bytes, ClusterSpan, Instr, Program, ProgramError, TreeSpan,
     FLAG_DEFAULT_LEFT, FLAG_NUMERIC, INSTR_SLOT_BYTES,
@@ -47,8 +55,9 @@ use crate::tree::TableEntry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Records per interpretation block (matches the flat engine's blocking
-/// so the two are comparable like-for-like).
+/// Records per scoring block: with tens of bins per record, a block's
+/// rows and margins stay L1/L2-resident while the block is walked by
+/// every tree of a cluster.
 const BLOCK_RECORDS: usize = 256;
 
 /// Records walked in lockstep through one tree: enough independent
@@ -66,9 +75,9 @@ pub struct CompileOptions {
     /// record block and margins.
     pub cluster_bytes: usize,
     /// Compile only the first `n` trees (clamped like
-    /// [`Model::truncated`]: at least 1, at most the model's tree
-    /// count); the rest are dead code and dropped entirely. `None`
-    /// compiles every tree.
+    /// [`crate::predict::Model::truncated`]: at least 1, at most the
+    /// model's tree count); the rest are dead code and dropped entirely.
+    /// `None` compiles every tree.
     pub max_trees: Option<usize>,
 }
 
@@ -234,11 +243,10 @@ pub fn compile(
     Ok(CompiledEnsemble { program, dropped_entries: dropped, cluster_passes: Arc::default() })
 }
 
-/// A validated program plus its blocked lane interpreter.
+/// A validated program plus its blocked lane kernel.
 ///
-/// Immutable after construction (all scoring takes `&self`), so like
-/// [`FlatEnsemble`] it is `Send + Sync` and freely shared across
-/// serving threads.
+/// Immutable after construction (all scoring takes `&self`), so it is
+/// `Send + Sync` and freely shared across serving threads.
 #[derive(Debug, Clone)]
 pub struct CompiledEnsemble {
     program: Program,
@@ -246,31 +254,40 @@ pub struct CompiledEnsemble {
     /// rebuilt from bytes — the stat is not part of the wire format).
     dropped_entries: usize,
     /// Cluster residency odometer: one tick per cluster×record-block
-    /// interpreter pass, read by [`CompiledEnsemble::cluster_passes`]
+    /// kernel pass, read by [`CompiledEnsemble::cluster_passes`]
     /// (and exported as a serving gauge). Behind an `Arc` so clones
     /// share the count; one relaxed add per drive call keeps it off
     /// the per-record path.
     cluster_passes: Arc<AtomicU64>,
 }
 
-impl CompiledEnsemble {
-    /// Compile a model directly (lower to flat form, then [`compile`]).
-    ///
-    /// # Errors
-    /// Propagates [`crate::tree::TableLoweringError`] (boxed into
-    /// `String` form would lose type, so lower first if you need it) —
-    /// here the flat lowering error and compile error are both mapped
-    /// through `Result`.
-    pub fn from_model(
-        model: &Model,
-        opts: &CompileOptions,
-    ) -> Result<Self, crate::tree::TableLoweringError> {
-        let flat = FlatEnsemble::from_model(model)?;
-        Ok(compile(&flat, opts).expect("u32 instruction space exceeded"))
+/// Walk one record through one tree: the tree-local leaf index it lands
+/// on and the edges it took. Branch-free like the lane loop — exactly
+/// `depth` [`Instr::step`]s, and BFS numbering makes `next != idx`
+/// exactly "took an edge".
+///
+/// # Safety
+/// `code` must be one tree's span of a validated [`Program`], `depth`
+/// that span's depth, and `row` must hold at least the program's
+/// `num_fields` bins: [`Program::validate`] then guarantees every
+/// `left`/`right` stays inside the span and every `field` inside the
+/// row.
+#[inline(always)]
+unsafe fn walk_one<B: BinIndex>(code: &[Instr], depth: u32, row: &[B]) -> (usize, u64) {
+    let mut idx = 0u32;
+    let mut edges = 0u64;
+    for _ in 0..depth {
+        let ins = code.get_unchecked(idx as usize);
+        let next = ins.step(row.get_unchecked(ins.field as usize).widen());
+        edges += u64::from(next != idx);
+        idx = next;
     }
+    (idx as usize, edges)
+}
 
+impl CompiledEnsemble {
     /// Wrap an externally supplied program after full validation, so
-    /// the interpreter's no-per-step-check execution stays sound.
+    /// the kernel's no-per-step-check execution stays sound.
     ///
     /// # Errors
     /// [`ProgramError::Invalid`] describing the first broken invariant.
@@ -316,7 +333,7 @@ impl CompiledEnsemble {
         self.program.num_instrs()
     }
 
-    /// Interpreter working-set bytes (instructions + weights).
+    /// Kernel working-set bytes (instructions + weights).
     pub fn byte_size(&self) -> usize {
         self.program.byte_size()
     }
@@ -326,7 +343,7 @@ impl CompiledEnsemble {
         self.dropped_entries
     }
 
-    /// Cluster residency: total cluster×record-block interpreter passes
+    /// Cluster residency: total cluster×record-block kernel passes
     /// run so far (shared across clones). Rising passes with a stable
     /// cluster count means the partition pass is keeping code
     /// cache-resident across whole batches — the serving tier exports
@@ -340,277 +357,140 @@ impl CompiledEnsemble {
         self.program.num_fields as usize
     }
 
+    /// Outputs per record (`K`); 1 for every scalar objective.
+    pub fn num_outputs(&self) -> usize {
+        self.program.num_outputs as usize
+    }
+
     /// Walk every tree of one cluster over one record block, adding
-    /// exact leaf weights into `margins` (and edge counts into `paths`
-    /// when asked). `row_of(r)` yields record `r`'s full-arity bin row.
+    /// exact leaf weights into the block's row-major `records x K`
+    /// margins (and edge counts into `paths` when asked). `row_of(r)`
+    /// yields record `r`'s full-arity bin row.
     ///
-    /// The lane loop is the compiled hot path: `LANES` records advance
-    /// through a tree in lockstep, each step a branch-free
-    /// [`Instr::step`], for exactly `TreeSpan::depth` iterations — the
-    /// trip count depends only on the tree, so there is nothing for
-    /// the branch predictor to miss.
-    fn run_cluster<'a, B, R>(
+    /// Tree `t` feeds output slot `t % K`, so both loops go slot by
+    /// slot over every `K`-th tree of the cluster: a slot's running
+    /// margin stays in a register across its trees, and each slot still
+    /// sees its trees in ensemble order. `K = 1` is one pass over every
+    /// tree, and `SCALAR` monomorphizes it: a runtime stride of 1 cost
+    /// the wide-bin lane loop 8%.
+    ///
+    /// The lane loop is the hot path: `LANES` records advance through a
+    /// tree in lockstep, each step a branch-free [`Instr::step`], for
+    /// exactly `TreeSpan::depth` iterations — the trip count depends
+    /// only on the tree, so there is nothing for the branch predictor
+    /// to miss. The sub-`LANES` tail of a block, and every record when
+    /// paths are counted (the Fig-13 workload measurement), take
+    /// [`walk_one`].
+    fn run_cluster<'a, const SCALAR: bool, B, R>(
         &self,
         cl: &ClusterSpan,
         row_of: &R,
         r0: usize,
         margins: &mut [f64],
-        paths: Option<&mut [u64]>,
+        mut paths: Option<&mut [u64]>,
     ) where
-        B: crate::preprocess::BinIndex,
+        B: BinIndex,
         R: Fn(usize) -> &'a [B],
     {
         let p = &self.program;
+        let k = if SCALAR { 1 } else { p.num_outputs as usize };
         let t0 = cl.first_tree as usize;
         let spans = &p.trees[t0..t0 + cl.num_trees as usize];
-        if let Some(paths) = paths {
-            // Path-counting variant (Fig-13 workload measurement):
-            // scalar, still branch-free — BFS numbering means
-            // `next != idx` exactly when an edge was taken.
-            for (i, m) in margins.iter_mut().enumerate() {
-                let row = row_of(r0 + i);
-                let mut steps = 0u64;
-                for span in spans {
-                    let first = span.first as usize;
-                    let code = &p.instrs[first..first + span.len as usize];
-                    let mut idx = 0u32;
-                    for _ in 0..span.depth {
-                        let ins = code[idx as usize];
-                        let next = ins.step(row[ins.field as usize].widen());
-                        steps += u64::from(next != idx);
-                        idx = next;
-                    }
-                    *m += p.weights[first + idx as usize];
-                }
-                paths[i] += steps;
-            }
-            return;
-        }
-        // Hot path: LANES records advance through the cluster's trees in
-        // lockstep, their running margins held in registers across the
-        // whole cluster; margins still accumulate in global tree order
-        // per record, so bit-identity with the node walk is preserved.
-        //
-        // SAFETY of the unchecked indexing below: every construction
-        // path (`compile`, `from_program`, `from_bytes`) runs
-        // `Program::validate`, which guarantees span-relative child
-        // indices stay inside their tree span, leaves self-loop, and
-        // every `field` is `< num_fields`; callers assert each row has
-        // exactly `num_fields` bins. `idx` starts at 0 (spans are
-        // non-empty) and only ever takes values of validated
-        // `left`/`right` fields.
-        let n = margins.len();
-        let mut i = 0;
-        while i + LANES <= n {
+        // Tree `t0 + j` opens slot `(t0 + j) % k`; past `k` trees every
+        // slot is open.
+        let slots = k.min(spans.len());
+        let n = margins.len() / k;
+        let lane_end = if paths.is_some() { 0 } else { n - n % LANES };
+        // SAFETY of the unchecked indexing below and in `walk_one`:
+        // every construction path (`compile`, `from_program`,
+        // `from_bytes`) runs `Program::validate`, which guarantees
+        // span-relative child indices stay inside their tree span,
+        // leaves self-loop, and every `field` is `< num_fields`;
+        // callers assert each row has exactly `num_fields` bins. `idx`
+        // starts at 0 (spans are non-empty) and only ever takes values
+        // of validated `left`/`right` fields.
+        for i in (0..lane_end).step_by(LANES) {
             let rows: [&[B]; LANES] = std::array::from_fn(|l| row_of(r0 + i + l));
-            let mut acc: [f64; LANES] = std::array::from_fn(|l| margins[i + l]);
-            for span in spans {
-                let first = span.first as usize;
-                let len = span.len as usize;
-                let code = &p.instrs[first..first + len];
-                let w = &p.weights[first..first + len];
-                let mut idx = [0u32; LANES];
-                for _ in 0..span.depth {
+            for j in 0..slots {
+                let c = (t0 + j) % k;
+                let mut acc: [f64; LANES] = std::array::from_fn(|l| margins[(i + l) * k + c]);
+                for span in spans[j..].iter().step_by(k) {
+                    let first = span.first as usize;
+                    let len = span.len as usize;
+                    let code = &p.instrs[first..first + len];
+                    let w = &p.weights[first..first + len];
+                    let mut idx = [0u32; LANES];
+                    for _ in 0..span.depth {
+                        for l in 0..LANES {
+                            // SAFETY: see block comment above.
+                            unsafe {
+                                let ins = code.get_unchecked(idx[l] as usize);
+                                let bin = rows[l].get_unchecked(ins.field as usize).widen();
+                                idx[l] = ins.step(bin);
+                            }
+                        }
+                    }
                     for l in 0..LANES {
                         // SAFETY: see block comment above.
-                        unsafe {
-                            let ins = code.get_unchecked(idx[l] as usize);
-                            let bin = rows[l].get_unchecked(ins.field as usize).widen();
-                            idx[l] = ins.step(bin);
-                        }
+                        acc[l] += unsafe { *w.get_unchecked(idx[l] as usize) };
                     }
                 }
                 for l in 0..LANES {
-                    // SAFETY: see block comment above.
-                    acc[l] += unsafe { *w.get_unchecked(idx[l] as usize) };
+                    margins[(i + l) * k + c] = acc[l];
                 }
             }
-            margins[i..i + LANES].copy_from_slice(&acc);
-            i += LANES;
         }
-        while i < n {
+        for i in lane_end..n {
             let row = row_of(r0 + i);
-            let mut m = margins[i];
-            for span in spans {
-                let first = span.first as usize;
-                let len = span.len as usize;
-                let code = &p.instrs[first..first + len];
-                let mut idx = 0u32;
-                for _ in 0..span.depth {
-                    let ins = code[idx as usize];
-                    idx = ins.step(row[ins.field as usize].widen());
+            let mut edges = 0u64;
+            for j in 0..slots {
+                let c = (t0 + j) % k;
+                let mut m = margins[i * k + c];
+                for span in spans[j..].iter().step_by(k) {
+                    let first = span.first as usize;
+                    let code = &p.instrs[first..first + span.len as usize];
+                    // SAFETY: see block comment above.
+                    let (leaf, steps) = unsafe { walk_one(code, span.depth, row) };
+                    m += p.weights[first + leaf];
+                    edges += steps;
                 }
-                m += p.weights[first + idx as usize];
+                margins[i * k + c] = m;
             }
-            margins[i] = m;
-            i += 1;
+            if let Some(paths) = paths.as_deref_mut() {
+                paths[i] += edges;
+            }
         }
     }
 
-    /// Cluster-major blocked drive: every record block streams through
-    /// cluster 0, then cluster 1, … so each record still accumulates
-    /// leaf weights in exact global tree order (clusters are contiguous
-    /// tree ranges) while one cluster's code stays cache-hot for the
-    /// whole batch.
-    fn drive<'a, B, R>(&self, row_of: &R, margins: &mut [f64], mut paths: Option<&mut [u64]>)
+    /// Cluster-major blocked drive over `out.len() / K` records: every
+    /// record block streams through cluster 0, then cluster 1, … so
+    /// each output slot still accumulates leaf weights in exact global
+    /// tree order (clusters are contiguous tree ranges) while one
+    /// cluster's code stays cache-hot for the whole batch. `out` is
+    /// fully overwritten; `paths`, when given, must arrive zeroed.
+    fn drive<'a, B, R>(&self, row_of: &R, out: &mut [f64], mut paths: Option<&mut [u64]>)
     where
-        B: crate::preprocess::BinIndex,
-        R: Fn(usize) -> &'a [B],
-    {
-        margins.fill(self.program.base_score);
-        if let Some(p) = paths.as_deref_mut() {
-            p.fill(0);
-        }
-        // One relaxed add per drive call (not per block) keeps the
-        // residency odometer invisible to the hot loop.
-        let blocks = margins.len().div_ceil(BLOCK_RECORDS) as u64;
-        self.cluster_passes
-            .fetch_add(blocks * self.program.clusters.len() as u64, Ordering::Relaxed);
-        for cl in &self.program.clusters {
-            let mut r0 = 0;
-            while r0 < margins.len() {
-                let r1 = (r0 + BLOCK_RECORDS).min(margins.len());
-                let block_paths = paths.as_deref_mut().map(|p| &mut p[r0..r1]);
-                self.run_cluster(cl, row_of, r0, &mut margins[r0..r1], block_paths);
-                r0 = r1;
-            }
-        }
-        for m in margins.iter_mut() {
-            *m = self.program.objective.transform(*m);
-        }
-    }
-
-    #[inline]
-    fn expect_scalar(&self) {
-        assert_eq!(
-            self.program.num_outputs, 1,
-            "scalar scoring on a multi-output program; use the *_outputs APIs"
-        );
-    }
-
-    fn check_arity(&self, data: &BinnedDataset) {
-        assert_eq!(
-            data.num_fields(),
-            self.num_fields(),
-            "dataset field arity does not match the compiled program"
-        );
-    }
-
-    /// Score a binned dataset into a caller-provided buffer; the
-    /// compiled analogue of [`FlatEnsemble::score_into`], bit-identical
-    /// to [`Model::predict_batch`] and allocation-free.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != data.num_records()` or on a field-arity
-    /// mismatch.
-    pub fn score_into(&self, data: &BinnedDataset, out: &mut [f64]) {
-        self.expect_scalar();
-        self.check_arity(data);
-        assert_eq!(out.len(), data.num_records(), "output buffer must cover every record");
-        // Dispatch the bin-matrix layout once; the lane loop below is
-        // monomorphized per element width (packed rows stream 4x denser).
-        let nf = data.num_fields();
-        match data.matrix() {
-            crate::preprocess::BinMatrix::Packed(m) => {
-                self.drive(&|r| &m[r * nf..(r + 1) * nf], out, None);
-            }
-            crate::preprocess::BinMatrix::Wide(m) => {
-                self.drive(&|r| &m[r * nf..(r + 1) * nf], out, None);
-            }
-        }
-    }
-
-    /// Batch prediction over a binned dataset.
-    pub fn predict_batch(&self, data: &BinnedDataset) -> Vec<f64> {
-        let mut out = vec![0.0; data.num_records()];
-        self.score_into(data, &mut out);
-        out
-    }
-
-    /// Score a raw row-major bin matrix (`bins[r * num_fields + f]`)
-    /// into a caller-provided buffer — the serving entry point,
-    /// mirroring [`FlatEnsemble::score_bins_into`].
-    ///
-    /// # Panics
-    /// Panics if `bins.len() != out.len() * num_fields`.
-    pub fn score_bins_into(&self, bins: &[u32], out: &mut [f64]) {
-        self.expect_scalar();
-        let nf = self.num_fields();
-        assert_eq!(bins.len(), out.len() * nf, "bin matrix shape must be records x fields");
-        self.drive(&|r| &bins[r * nf..(r + 1) * nf], out, None);
-    }
-
-    /// Batch prediction returning per-record total path length (edges
-    /// walked across all trees) — the compiled replacement for
-    /// [`FlatEnsemble::predict_batch_with_paths`], with identical
-    /// output on un-truncated programs.
-    pub fn predict_batch_with_paths(&self, data: &BinnedDataset) -> (Vec<f64>, Vec<u64>) {
-        self.expect_scalar();
-        self.check_arity(data);
-        let n = data.num_records();
-        let mut out = vec![0.0; n];
-        let mut paths = vec![0u64; n];
-        let nf = data.num_fields();
-        match data.matrix() {
-            crate::preprocess::BinMatrix::Packed(m) => {
-                self.drive(&|r| &m[r * nf..(r + 1) * nf], &mut out, Some(&mut paths));
-            }
-            crate::preprocess::BinMatrix::Wide(m) => {
-                self.drive(&|r| &m[r * nf..(r + 1) * nf], &mut out, Some(&mut paths));
-            }
-        }
-        (out, paths)
-    }
-
-    /// Multi-output compiled scoring: one row-major `K`-slot row per
-    /// record with the objective's link function applied per row —
-    /// the compiled analogue of [`FlatEnsemble::score_outputs_into`],
-    /// bit-identical to it (tree-order accumulation per output slot).
-    /// Tree-major scalar walk: correct for any `K`, not lane-blocked
-    /// like the scalar hot path.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != num_records * num_outputs` or on a
-    /// field-arity mismatch.
-    pub fn score_outputs_into(&self, data: &BinnedDataset, out: &mut [f64]) {
-        self.check_arity(data);
-        let k = self.program.num_outputs as usize;
-        assert_eq!(
-            out.len(),
-            data.num_records() * k,
-            "output buffer must hold num_outputs slots per record"
-        );
-        let nf = data.num_fields();
-        match data.matrix() {
-            crate::preprocess::BinMatrix::Packed(m) => {
-                self.drive_outputs(&|r| &m[r * nf..(r + 1) * nf], out, k);
-            }
-            crate::preprocess::BinMatrix::Wide(m) => {
-                self.drive_outputs(&|r| &m[r * nf..(r + 1) * nf], out, k);
-            }
-        }
-    }
-
-    fn drive_outputs<'a, B, R>(&self, row_of: &R, out: &mut [f64], k: usize)
-    where
-        B: crate::preprocess::BinIndex,
+        B: BinIndex,
         R: Fn(usize) -> &'a [B],
     {
         let p = &self.program;
-        out.fill(p.base_score);
+        let k = p.num_outputs as usize;
         let n = out.len() / k;
-        for (t, span) in p.trees.iter().enumerate() {
-            let first = span.first as usize;
-            let code = &p.instrs[first..first + span.len as usize];
-            let c = t % k;
-            for r in 0..n {
-                let row = row_of(r);
-                let mut idx = 0u32;
-                for _ in 0..span.depth {
-                    let ins = code[idx as usize];
-                    idx = ins.step(row[ins.field as usize].widen());
+        out.fill(p.base_score);
+        // One relaxed add per drive call (not per block) keeps the
+        // residency odometer invisible to the hot loop.
+        let blocks = n.div_ceil(BLOCK_RECORDS) as u64;
+        self.cluster_passes.fetch_add(blocks * p.clusters.len() as u64, Ordering::Relaxed);
+        for cl in &p.clusters {
+            for r0 in (0..n).step_by(BLOCK_RECORDS) {
+                let r1 = (r0 + BLOCK_RECORDS).min(n);
+                let block_paths = paths.as_deref_mut().map(|p| &mut p[r0..r1]);
+                let block = &mut out[r0 * k..r1 * k];
+                if k == 1 {
+                    self.run_cluster::<true, B, R>(cl, row_of, r0, block, block_paths);
+                } else {
+                    self.run_cluster::<false, B, R>(cl, row_of, r0, block, block_paths);
                 }
-                out[r * k + c] += p.weights[first + idx as usize];
             }
         }
         for row in out.chunks_mut(k) {
@@ -618,26 +498,112 @@ impl CompiledEnsemble {
         }
     }
 
-    /// Raw (untransformed) margin of one full-arity bin row.
-    pub fn margin_of_row(&self, row: &[u32]) -> f64 {
-        self.expect_scalar();
-        let mut m = self.program.base_score;
-        for span in &self.program.trees {
-            let first = span.first as usize;
-            let code = &self.program.instrs[first..first + span.len as usize];
-            let mut idx = 0u32;
-            for _ in 0..span.depth as usize {
-                let ins = code[idx as usize];
-                idx = ins.step(row[ins.field as usize]);
+    /// [`CompiledEnsemble::drive`] over records `r0..` of a binned
+    /// dataset. Dispatches the bin-matrix layout once; the lane loop is
+    /// monomorphized per element width (packed rows stream 4x denser).
+    fn drive_dataset(
+        &self,
+        data: &BinnedDataset,
+        r0: usize,
+        out: &mut [f64],
+        paths: Option<&mut [u64]>,
+    ) {
+        let nf = data.num_fields();
+        match data.matrix() {
+            BinMatrix::Packed(m) => {
+                self.drive(&|r| &m[(r0 + r) * nf..(r0 + r + 1) * nf], out, paths);
             }
-            m += self.program.weights[first + idx as usize];
+            BinMatrix::Wide(m) => {
+                self.drive(&|r| &m[(r0 + r) * nf..(r0 + r + 1) * nf], out, paths);
+            }
         }
-        m
+    }
+
+    fn check_shape(&self, data: &BinnedDataset, out: &[f64]) {
+        assert_eq!(
+            data.num_fields(),
+            self.num_fields(),
+            "dataset field arity does not match the compiled program"
+        );
+        assert_eq!(
+            out.len(),
+            data.num_records() * self.num_outputs(),
+            "output buffer must hold num_outputs slots per record"
+        );
+    }
+
+    /// Score a binned dataset into a caller-provided buffer: one
+    /// row-major `K`-slot row per record (`out[r * K + c]`; a plain
+    /// prediction vector when `K = 1`) with the objective's link
+    /// function applied. `out` is fully overwritten; allocation-free and
+    /// bit-identical to [`crate::predict::Model::predict_batch_outputs`].
+    ///
+    /// # Panics
+    /// Panics if `out.len() != num_records * num_outputs` or on a
+    /// field-arity mismatch.
+    pub fn score_into(&self, data: &BinnedDataset, out: &mut [f64]) {
+        self.check_shape(data, out);
+        self.drive_dataset(data, 0, out, None);
+    }
+
+    /// [`CompiledEnsemble::score_into`] with one contiguous record
+    /// range per core, each streamed through the same kernel — the
+    /// analogue of streaming record shards through ensemble replicas.
+    /// Records never interact, so the result is bit-identical for any
+    /// core count.
+    ///
+    /// # Panics
+    /// As [`CompiledEnsemble::score_into`].
+    pub fn score_into_parallel(&self, data: &BinnedDataset, out: &mut [f64]) {
+        self.check_shape(data, out);
+        let per_core = data.num_records().div_ceil(rayon::current_num_threads()).max(1);
+        out.par_chunks_mut(per_core * self.num_outputs())
+            .enumerate()
+            .map(|(c, chunk)| self.drive_dataset(data, c * per_core, chunk, None))
+            .for_each();
+    }
+
+    /// [`CompiledEnsemble::score_into`] with an owned result.
+    pub fn predict_batch(&self, data: &BinnedDataset) -> Vec<f64> {
+        let mut out = vec![0.0; data.num_records() * self.num_outputs()];
+        self.score_into(data, &mut out);
+        out
+    }
+
+    /// Score a raw row-major bin matrix (`bins[r * num_fields + f]`)
+    /// into `records x K` outputs — the allocation-free entry point
+    /// online serving uses for coalesced micro-batches (and single
+    /// records) that never materialize a [`BinnedDataset`].
+    ///
+    /// # Panics
+    /// Panics if the matrix is not `records x num_fields` or `out` is
+    /// not `records x num_outputs`.
+    pub fn score_bins_into(&self, bins: &[u32], out: &mut [f64]) {
+        let nf = self.num_fields();
+        assert_eq!(bins.len() % nf, 0, "bin matrix shape must be records x fields");
+        assert_eq!(
+            out.len(),
+            bins.len() / nf * self.num_outputs(),
+            "output buffer must hold num_outputs slots per record"
+        );
+        self.drive(&|r| &bins[r * nf..(r + 1) * nf], out, None);
+    }
+
+    /// Batch prediction returning per-record total path length (edges
+    /// walked across all trees) — on un-truncated programs, identical to
+    /// [`crate::predict::Model::predict_batch_with_paths`].
+    pub fn predict_batch_with_paths(&self, data: &BinnedDataset) -> (Vec<f64>, Vec<u64>) {
+        let n = data.num_records();
+        let mut out = vec![0.0; n * self.num_outputs()];
+        let mut paths = vec![0u64; n];
+        self.check_shape(data, &out);
+        self.drive_dataset(data, 0, &mut out, Some(&mut paths));
+        (out, paths)
     }
 }
 
-// The serving layer shares compiled programs across worker threads the
-// same way it shares `FlatEnsemble`s; keep the auto-traits pinned.
+// The serving layer shares compiled programs across worker threads;
+// keep the auto-traits pinned.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledEnsemble>();
@@ -649,6 +615,8 @@ mod tests {
     use super::*;
     use crate::columnar::ColumnarMirror;
     use crate::dataset::{Dataset, RawValue};
+    use crate::gradients::Objective;
+    use crate::predict::Model;
     use crate::schema::{DatasetSchema, FieldSchema};
     use crate::train::{train, TrainConfig};
 
@@ -685,28 +653,37 @@ mod tests {
         }
     }
 
+    /// The trained trees round-robined into three softmax slots.
+    fn softmax(model: Model) -> Model {
+        Model {
+            objective: Objective::Softmax { num_class: 3 },
+            num_outputs: 3,
+            base_score: 0.0,
+            ..model
+        }
+    }
+
     #[test]
     fn compiled_multi_output_matches_flat_bitwise() {
-        use crate::gradients::Objective;
         let (model, data) = trained();
-        let mut m = model;
-        m.objective = Objective::Softmax { num_class: 3 };
-        m.num_outputs = 3;
-        m.base_score = 0.0;
+        let m = softmax(model);
         let flat = FlatEnsemble::from_model(&m).unwrap();
-        let compiled = compile(&flat, &CompileOptions::default()).unwrap();
-        let expect = flat.predict_batch_outputs(&data);
-        let mut got = vec![f64::NAN; expect.len()];
-        compiled.score_outputs_into(&data, &mut got);
-        for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "slot {i}");
+        let expect = m.predict_batch_outputs(&data);
+        // One tree per cluster makes every cluster open a different
+        // slot; the default puts all six trees in one.
+        for cluster_bytes in [1, CompileOptions::default().cluster_bytes] {
+            let compiled =
+                compile(&flat, &CompileOptions { cluster_bytes, max_trees: None }).unwrap();
+            let mut got = vec![f64::NAN; expect.len()];
+            compiled.score_into(&data, &mut got);
+            for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "cluster_bytes={cluster_bytes} slot {i}");
+            }
+            // Wire roundtrip keeps the multi-output header.
+            let back = CompiledEnsemble::from_bytes(&compiled.to_bytes()).unwrap();
+            assert_eq!(back.num_outputs(), 3);
+            assert_eq!(back.predict_batch(&data), got);
         }
-        // Wire roundtrip keeps the multi-output header.
-        let back = CompiledEnsemble::from_bytes(&compiled.to_bytes()).unwrap();
-        assert_eq!(back.program().num_outputs, 3);
-        let mut again = vec![0.0; expect.len()];
-        back.score_outputs_into(&data, &mut again);
-        assert_eq!(again, got);
     }
 
     #[test]
@@ -799,14 +776,20 @@ mod tests {
 
     #[test]
     fn compiled_paths_match_flat_paths() {
+        // Edge counts are per record whatever the partition shape or
+        // the number of output slots the trees feed.
         let (model, data) = trained();
-        let flat = FlatEnsemble::from_model(&model).unwrap();
-        let compiled = compile(&flat, &CompileOptions::default()).unwrap();
-        let (fp, fpaths) = flat.predict_batch_with_paths(&data);
-        let (cp, cpaths) = compiled.predict_batch_with_paths(&data);
-        assert_eq!(fpaths, cpaths);
-        for (a, b) in fp.iter().zip(&cp) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        let (_, expect) = model.predict_batch_with_paths(&data);
+        let multi = softmax(model.clone());
+        for (m, cluster_bytes) in [(&model, 1), (&multi, 1), (&multi, usize::MAX)] {
+            let flat = FlatEnsemble::from_model(m).unwrap();
+            let c = compile(&flat, &CompileOptions { cluster_bytes, max_trees: None }).unwrap();
+            let (preds, paths) = c.predict_batch_with_paths(&data);
+            assert_eq!(paths, expect, "K={} cluster_bytes={cluster_bytes}", m.num_outputs);
+            let outputs = m.predict_batch_outputs(&data);
+            for (a, b) in preds.iter().zip(&outputs) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
@@ -814,8 +797,8 @@ mod tests {
     #[should_panic(expected = "output buffer")]
     fn score_into_rejects_short_buffer() {
         let (model, data) = trained();
-        let compiled = CompiledEnsemble::from_model(&model, &CompileOptions::default()).unwrap();
+        let flat = FlatEnsemble::from_model(&model).unwrap();
         let mut out = vec![0.0; data.num_records() - 1];
-        compiled.score_into(&data, &mut out);
+        flat.compiled().score_into(&data, &mut out);
     }
 }

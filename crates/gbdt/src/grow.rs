@@ -31,8 +31,8 @@
 //! outer tree loop with stochastic row/column sampling (all masks drawn
 //! from one seeded [`SampleStream`] owned by the engine, never by an
 //! executor), the validation pipeline
-//! ([`grow_forest_with_eval`]: per-tree eval scoring through the
-//! flat-ensemble [`TreeScorer`] with patience-based early stopping),
+//! ([`grow_forest_with_eval`]: per-tree eval scoring with
+//! patience-based early stopping),
 //! [`StepTimes`] / [`WorkCounters`] instrumentation, Step-5 traversal,
 //! and [`PhaseLog`] emission — lives here once. Phase descriptors keep their
 //! mode-specific *memory access patterns*: vertex-wise and leaf-wise log
@@ -47,14 +47,13 @@ use serde::{Deserialize, Serialize};
 use crate::columnar::ColumnarMirror;
 use crate::gradients::{lambdarank_grad_refresh, softmax_grad_refresh, GradPair, Loss, Objective};
 use crate::histogram::{HistogramPool, NodeHistogram};
-use crate::infer::TreeScorer;
 use crate::metrics::{multi_logloss, multiclass_accuracy, ndcg_at_k, EvalMetric};
 use crate::phases::{
     column_blocks, gh_blocks, row_major_blocks, BinPhase, NodePhase, PartitionPhase, PhaseLog,
     TraversalPhase, TreePhases,
 };
 use crate::predict::Model;
-use crate::preprocess::{BinnedDataset, FieldBinning, BLOCK_BYTES};
+use crate::preprocess::{BinnedDataset, BLOCK_BYTES};
 use crate::sample::SampleStream;
 use crate::split::{find_best_split, leaf_weight, SplitInfo};
 use crate::train::{EvalSet, StepExecutor, StepTimes, TrainConfig, TrainReport, WorkCounters};
@@ -95,9 +94,8 @@ impl GrowthStrategy {
     }
 }
 
-/// Train a model: the single engine behind [`crate::train::train`],
-/// [`crate::levelwise::train_levelwise`] and
-/// [`crate::parallel::train_parallel`].
+/// Train a model: the single engine behind [`crate::train::train`] and
+/// [`crate::train::train_with`].
 ///
 /// Grows `cfg.num_trees` trees in `cfg.growth` order, executing Steps 1,
 /// 3 and 5 on `exec`, and returns the model plus the instrumented
@@ -115,22 +113,11 @@ pub fn grow_forest(
     grow_forest_with_eval(data, columnar, cfg, exec, None)
 }
 
-/// Add one tree's margins over an eval set, through the flat-ensemble
-/// [`TreeScorer`] when the tree fits the u16 table encoding, falling
-/// back to the node walk otherwise (bit-identical, just slower).
-fn add_eval_margins(
-    tree: &Tree,
-    binnings: &[FieldBinning],
-    data: &BinnedDataset,
-    margins: &mut [f64],
-) {
-    match TreeScorer::try_new(tree, binnings) {
-        Ok(scorer) => scorer.add_margins(data, margins),
-        Err(_) => {
-            for (r, m) in margins.iter_mut().enumerate() {
-                *m += tree.traverse_binned(data, r).0;
-            }
-        }
+/// Add one tree's margins over an eval set (the node walk: one new
+/// tree per call, so there is no ensemble to lower).
+fn add_eval_margins(tree: &Tree, data: &BinnedDataset, margins: &mut [f64]) {
+    for (r, m) in margins.iter_mut().enumerate() {
+        *m += tree.traverse_binned(data, r).0;
     }
 }
 
@@ -177,8 +164,8 @@ impl<'a> EvalState<'a> {
 
     /// Score the newest tree into the margins and update the history and
     /// best-iteration tracking.
-    fn score_tree(&mut self, tree: &Tree, binnings: &[FieldBinning]) {
-        add_eval_margins(tree, binnings, self.data, &mut self.margins);
+    fn score_tree(&mut self, tree: &Tree) {
+        add_eval_margins(tree, self.data, &mut self.margins);
         let value = match self.metric {
             // NDCG ranks the eval set by its real query groups when the
             // dataset carries them; a monotone output transform never
@@ -206,10 +193,9 @@ fn eval_and_check(
     eval_state: &mut Option<EvalState<'_>>,
     trees: &[Tree],
     cfg: &TrainConfig,
-    binnings: &[FieldBinning],
 ) -> bool {
     let Some(ev) = eval_state.as_mut() else { return false };
-    ev.score_tree(trees.last().expect("a tree was just pushed"), binnings);
+    ev.score_tree(trees.last().expect("a tree was just pushed"));
     match &cfg.early_stopping {
         Some(es) => trees.len() - ev.best_iter >= es.patience,
         None => false,
@@ -217,8 +203,7 @@ fn eval_and_check(
 }
 
 /// [`grow_forest`] with the validation pipeline attached: after every
-/// tree the `eval` set is scored through the flat-ensemble engine
-/// ([`TreeScorer`]) and the metric recorded in
+/// tree the `eval` set is scored and the metric recorded in
 /// [`TrainReport::eval_history`]. With
 /// [`TrainConfig::early_stopping`] set, training stops once the metric
 /// has not improved for `patience` trees and the model is truncated to
@@ -321,7 +306,7 @@ fn grow_scalar(
             // A pathological subsample of a tiny dataset: skip this tree.
             loss_history.push(prev_loss);
             trees.push(Tree::leaf(0.0));
-            if eval_and_check(&mut eval_state, &trees, cfg, data.binnings()) {
+            if eval_and_check(&mut eval_state, &trees, cfg) {
                 break;
             }
             continue;
@@ -371,7 +356,7 @@ fn grow_scalar(
         trees.push(tree);
 
         // ---- Validation pipeline: score the eval set incrementally. ----
-        let patience_exhausted = eval_and_check(&mut eval_state, &trees, cfg, data.binnings());
+        let patience_exhausted = eval_and_check(&mut eval_state, &trees, cfg);
 
         if let Some(min_dec) = cfg.min_loss_decrease {
             if prev_loss - mean_loss < min_dec {
@@ -478,9 +463,6 @@ struct MultiEvalState<'a> {
     /// Row-major `n_eval x k`.
     margins: Vec<f64>,
     labels: Vec<f64>,
-    /// Per-class scratch the [`TreeScorer`] accumulates into before the
-    /// strided add into the margin matrix.
-    scratch: Vec<f64>,
     history: Vec<f64>,
     /// Round count of the best model so far.
     best_round: usize,
@@ -497,7 +479,6 @@ impl<'a> MultiEvalState<'a> {
             k,
             margins: vec![0.0; ev.data().num_records() * k],
             labels: ev.data().labels().iter().map(|&y| f64::from(y)).collect(),
-            scratch: Vec::new(),
             history: Vec::new(),
             best_round: 0,
             best_value: metric.worst(),
@@ -506,13 +487,9 @@ impl<'a> MultiEvalState<'a> {
 
     /// Accumulate one class tree's margins into column `class` of the
     /// eval margin matrix.
-    fn add_tree(&mut self, tree: &Tree, binnings: &[FieldBinning], class: usize) {
-        let n = self.labels.len();
-        self.scratch.clear();
-        self.scratch.resize(n, 0.0);
-        add_eval_margins(tree, binnings, self.data, &mut self.scratch);
-        for (r, &w) in self.scratch.iter().enumerate() {
-            self.margins[r * self.k + class] += w;
+    fn add_tree(&mut self, tree: &Tree, class: usize) {
+        for (r, row) in self.margins.chunks_mut(self.k).enumerate() {
+            row[class] += tree.traverse_binned(self.data, r).0;
         }
     }
 
@@ -628,7 +605,7 @@ fn grow_softmax(
                 });
             }
             if let Some(ev) = eval_state.as_mut() {
-                ev.add_tree(&tree, data.binnings(), class);
+                ev.add_tree(&tree, class);
             }
             trees.push(tree);
         }
@@ -742,7 +719,7 @@ fn grow_lambdarank(
         if root_rows.is_empty() {
             loss_history.push(prev_loss);
             trees.push(Tree::leaf(0.0));
-            if rank_eval_and_check(&mut eval_state, &trees, cfg, data.binnings()) {
+            if rank_eval_and_check(&mut eval_state, &trees, cfg) {
                 break;
             }
             continue;
@@ -792,7 +769,7 @@ fn grow_lambdarank(
         loss_history.push(mean_loss);
         trees.push(tree);
 
-        let patience_exhausted = rank_eval_and_check(&mut eval_state, &trees, cfg, data.binnings());
+        let patience_exhausted = rank_eval_and_check(&mut eval_state, &trees, cfg);
         if let Some(min_dec) = cfg.min_loss_decrease {
             if prev_loss - mean_loss < min_dec {
                 break;
@@ -876,8 +853,8 @@ impl<'a> RankEvalState<'a> {
         }
     }
 
-    fn score_tree(&mut self, tree: &Tree, binnings: &[FieldBinning]) {
-        add_eval_margins(tree, binnings, self.data, &mut self.margins);
+    fn score_tree(&mut self, tree: &Tree) {
+        add_eval_margins(tree, self.data, &mut self.margins);
         let value = match self.metric {
             EvalMetric::Ndcg { k } => {
                 ndcg_at_k(&self.margins, &self.labels, &self.groups, k as usize)
@@ -903,10 +880,9 @@ fn rank_eval_and_check(
     eval_state: &mut Option<RankEvalState<'_>>,
     trees: &[Tree],
     cfg: &TrainConfig,
-    binnings: &[FieldBinning],
 ) -> bool {
     let Some(ev) = eval_state.as_mut() else { return false };
-    ev.score_tree(trees.last().expect("a tree was just pushed"), binnings);
+    ev.score_tree(trees.last().expect("a tree was just pushed"));
     match &cfg.early_stopping {
         Some(es) => trees.len() - ev.best_iter >= es.patience,
         None => false,
@@ -1332,6 +1308,7 @@ fn empty_bin_phase(depth: u32, n_reaching: usize) -> BinPhase {
 mod tests {
     use super::*;
     use crate::dataset::{Dataset, RawValue};
+    use crate::metrics;
     use crate::schema::{DatasetSchema, FieldSchema};
     use crate::train::{train, EarlyStopping, SequentialExec};
 
@@ -1533,5 +1510,143 @@ mod tests {
         let median = mean_pred(0.5);
         let upper = mean_pred(0.9);
         assert!(upper > median, "0.9-quantile ({upper}) must exceed the median fit ({median})");
+    }
+
+    // ------------------------------------------------ level-wise growth
+
+    /// XOR-of-thresholds labels over two numeric fields plus a
+    /// categorical bump: needs depth, so growth order matters.
+    fn xor_dataset(n: usize) -> (BinnedDataset, ColumnarMirror) {
+        let schema = DatasetSchema::new(vec![
+            FieldSchema::numeric_with_bins("a", 32),
+            FieldSchema::numeric_with_bins("b", 32),
+            FieldSchema::categorical("c", 4),
+        ]);
+        let mut ds = Dataset::new(schema);
+        let mut state = 99u64;
+        let mut rng = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 33) as f32) / (u32::MAX >> 1) as f32
+        };
+        for _ in 0..n {
+            let a = rng();
+            let b = rng();
+            let c = (rng() * 4.0) as u32 % 4;
+            let y = ((a > 0.5) ^ (b > 0.5)) as u8 as f32 + if c == 1 { 0.5 } else { 0.0 };
+            ds.push_record(&[RawValue::Num(a), RawValue::Num(b), RawValue::Cat(c)], y);
+        }
+        let binned = BinnedDataset::from_dataset(&ds);
+        let mirror = ColumnarMirror::from_binned(&binned);
+        (binned, mirror)
+    }
+
+    /// `cfg` grown level by level on the sequential backend.
+    fn grow_by_level(
+        data: &BinnedDataset,
+        mirror: &ColumnarMirror,
+        cfg: &TrainConfig,
+    ) -> (Model, TrainReport) {
+        let cfg = TrainConfig { growth: GrowthStrategy::LevelWise, ..cfg.clone() };
+        train(data, mirror, &cfg)
+    }
+
+    #[test]
+    fn levelwise_learns_the_same_function_as_vertexwise() {
+        let (data, mirror) = xor_dataset(4_000);
+        let cfg = TrainConfig { num_trees: 15, max_depth: 4, ..Default::default() };
+        let (m_level, _) = grow_by_level(&data, &mirror, &cfg);
+        let (m_vertex, _) = train(&data, &mirror, &cfg);
+        let labels: Vec<f64> = data.labels().iter().map(|&y| f64::from(y)).collect();
+        let r_level = metrics::rmse(&m_level.predict_batch(&data), &labels);
+        let r_vertex = metrics::rmse(&m_vertex.predict_batch(&data), &labels);
+        assert!(
+            (r_level - r_vertex).abs() < 0.05 * (1.0 + r_vertex),
+            "level {r_level} vs vertex {r_vertex}"
+        );
+    }
+
+    #[test]
+    fn levelwise_trees_are_identical_when_splits_are_unambiguous() {
+        // Both growth orders visit the same vertices with the same
+        // histograms, so with deterministic tie-breaking the trees match
+        // structurally (leaf multiset).
+        let (data, mirror) = xor_dataset(2_000);
+        let cfg = TrainConfig { num_trees: 3, max_depth: 3, ..Default::default() };
+        let (m_level, _) = grow_by_level(&data, &mirror, &cfg);
+        let (m_vertex, _) = train(&data, &mirror, &cfg);
+        for (tl, tv) in m_level.trees.iter().zip(&m_vertex.trees) {
+            assert_eq!(tl.num_leaves(), tv.num_leaves());
+            assert_eq!(tl.depth(), tv.depth());
+            // Same predictions record by record.
+            for r in (0..2_000).step_by(173) {
+                let (wl, _) = tl.traverse_binned(&data, r);
+                let (wv, _) = tv.traverse_binned(&data, r);
+                assert!((wl - wv).abs() < 1e-9, "record {r}: {wl} vs {wv}");
+            }
+        }
+    }
+
+    #[test]
+    fn levelwise_respects_depth() {
+        let (data, mirror) = xor_dataset(1_500);
+        for depth in [1u32, 2, 5] {
+            let cfg = TrainConfig { num_trees: 4, max_depth: depth, ..Default::default() };
+            let (model, _) = grow_by_level(&data, &mirror, &cfg);
+            assert!(model.max_depth() <= depth);
+        }
+    }
+
+    #[test]
+    fn levelwise_phase_log_streams_densely() {
+        let (data, mirror) = xor_dataset(3_000);
+        let cfg =
+            TrainConfig { num_trees: 4, max_depth: 4, collect_phases: true, ..Default::default() };
+        let (_, report) = grow_by_level(&data, &mirror, &cfg);
+        let log = report.phase_log.unwrap();
+        let full_blocks = (3_000 * log.record_bytes as usize).div_ceil(64);
+        for t in &log.trees {
+            for np in &t.nodes {
+                if np.bin.n_binned > 0 {
+                    // Level passes always touch the full row stream.
+                    assert_eq!(np.bin.row_blocks, full_blocks);
+                }
+            }
+        }
+        // Work counters still agree with the log.
+        assert_eq!(log.total_bin_updates(), report.work.step1_updates);
+    }
+
+    #[test]
+    fn levelwise_loss_decreases() {
+        let (data, mirror) = xor_dataset(2_500);
+        let cfg = TrainConfig { num_trees: 12, max_depth: 4, ..Default::default() };
+        let (_, report) = grow_by_level(&data, &mirror, &cfg);
+        assert!(report.loss_history.last().unwrap() < &report.loss_history[0]);
+    }
+
+    #[test]
+    fn levelwise_logs_terminal_no_split_scan() {
+        // Constant labels: the root is scanned but never splits. The
+        // host still paid for that scan, so the phase log must carry a
+        // trailing scanned descriptor (root + terminal scan = 2 phases).
+        let schema = DatasetSchema::new(vec![FieldSchema::numeric_with_bins("x", 8)]);
+        let mut ds = Dataset::new(schema);
+        for i in 0..200 {
+            ds.push_record(&[RawValue::Num(i as f32)], 1.0);
+        }
+        let data = BinnedDataset::from_dataset(&ds);
+        let mirror = ColumnarMirror::from_binned(&data);
+        let cfg =
+            TrainConfig { num_trees: 2, max_depth: 4, collect_phases: true, ..Default::default() };
+        let (model, report) = grow_by_level(&data, &mirror, &cfg);
+        assert!(model.trees.iter().all(|t| t.num_leaves() == 1));
+        let log = report.phase_log.unwrap();
+        for t in &log.trees {
+            assert_eq!(t.nodes.len(), 2, "root stream + terminal scan");
+            assert!(!t.nodes[0].scanned);
+            assert!(t.nodes[1].scanned);
+            assert_eq!(t.nodes[1].bin.n_binned, 0);
+            assert!(t.nodes[1].partition.is_none());
+        }
     }
 }

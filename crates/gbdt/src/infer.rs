@@ -1,81 +1,46 @@
-//! Flat-ensemble batch inference engine (Section III-D, Fig 13).
+//! Lowered ensemble tables and the serving-style [`Predictor`]
+//! (Section III-D, Fig 13).
 //!
 //! [`crate::predict::Model`] walks per-record over `Vec<Node>` trees —
 //! pointer-chasing through wide enum nodes with a dynamic absent-bin
-//! callback per step, re-touching every tree's nodes for every record.
-//! Booster's batch-inference engine instead streams records through
-//! SRAM-resident flat tree tables. This module is the software analogue:
-//! [`FlatEnsemble`] lowers the *whole* model into one contiguous
-//! structure-of-arrays — every tree's 16-byte [`TableEntry`] row
-//! concatenated behind per-tree offsets, alongside the renumbered-field
-//! gather lists ([`TreeTable::fields_used`], the per-tree fetch pattern
-//! a BU performs) and exact `f64` leaf weights — and scores a
-//! [`BinnedDataset`] in cache-sized record blocks: a block's rows are
-//! brought into cache once, then **all** trees walk the block while each
-//! tree's contiguous entries stay hot.
+//! callback per step. It is kept deliberately simple: it is the oracle
+//! every differential test compares against. Production scoring goes
+//! the way Booster's batch-inference engine does, one fixed-function
+//! table walk replicated over record streams:
 //!
-//! Two lowering choices make the CPU walk fast and exact:
+//! ```text
+//! Model (node walk, oracle)
+//!   └─ FlatEnsemble::from_model   lower: 16-byte tree tables, SoA
+//!        └─ compiled()            compile: branch-free program, clusters
+//!             ├─ score_into / score_bins_into    8-lane blocked kernel
+//!             └─ score_into_parallel             record ranges over cores
+//! ```
 //!
-//! * the gather lists are pre-resolved into per-entry original-field and
-//!   absent-bin arrays, so a walk step is straight-line loads (entry,
-//!   field id, absent bin, record bin) with no renumbering indirection
-//!   and no virtual dispatch;
-//! * leaf weights are kept in a parallel `f64` array (the 16-byte
-//!   entries store the on-chip `f32`), and per-record accumulation
-//!   always folds tree weights in tree order — so every execution mode
-//!   is **bit-identical** to [`Model::predict_batch`], enforced across
-//!   all growth strategies by `tests/property_tests.rs`.
+//! [`FlatEnsemble`] is the lowering step: the *whole* model as one
+//! contiguous structure-of-arrays — every tree's 16-byte
+//! [`TableEntry`] row concatenated behind per-tree offsets, with the
+//! renumbered-field gather lists pre-resolved into per-entry
+//! original-field and absent-bin arrays and exact `f64` leaf weights in
+//! a parallel array (the 16-byte entries store the on-chip `f32`). It
+//! is the input of [`crate::compile::compile`] and owns the cached
+//! default-options program ([`FlatEnsemble::compiled`]), which is what
+//! scores: bit-identical to [`Model::predict_batch`] because every
+//! output slot folds its trees' weights in tree order.
 //!
-//! Three execution modes mirror the parallelism structure of the
-//! accelerator ([`ExecMode`]): sequential blocked, record-parallel
-//! (blocks fan out across cores, as records fan out across ensemble
-//! replicas), and tree-parallel (trees fan out, as trees fan out across
-//! BUs). [`Predictor`] wraps the same engine for serving-style
-//! raw-record scoring with reusable buffers and absent bins precomputed
-//! once.
+//! [`Predictor`] wraps that program for serving-style raw-record
+//! scoring with reusable buffers and absent bins precomputed once.
 
 use std::sync::OnceLock;
-
-use rayon::prelude::*;
 
 use crate::compile::{compile, CompileOptions, CompiledEnsemble};
 use crate::dataset::RawValue;
 use crate::gradients::Objective;
 use crate::predict::Model;
-use crate::preprocess::{BinnedDataset, FieldBinning};
-use crate::split::{goes_left, SplitRule};
-use crate::tree::{Node, TableEntry, TableLoweringError, Tree, TreeTable, TABLE_ENTRY_BYTES};
+use crate::preprocess::FieldBinning;
+use crate::tree::{Node, TableEntry, TableLoweringError, TreeTable, TABLE_ENTRY_BYTES};
 
-/// Records per scoring block: with tens of 4-byte bins per record, a
-/// block's rows and the current tree's table fit comfortably in L1/L2
-/// while the block is walked by every tree.
-const BLOCK_RECORDS: usize = 256;
-
-/// Records per tree-parallel outer block: larger, so the per-block
-/// thread fan-out over trees is amortized.
-const TREE_PARALLEL_BLOCK: usize = 8192;
-
-/// How a [`FlatEnsemble`] batch call executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One thread, blocked over records (trees inner): the cache-blocked
-    /// baseline.
-    Sequential,
-    /// Record blocks fan out across cores (rayon) — the analogue of
-    /// streaming record shards through ensemble replicas.
-    RecordParallel,
-    /// Trees fan out across cores per record block — the analogue of one
-    /// BU per tree; per-record sums still fold in tree order.
-    TreeParallel,
-    /// The ensemble is lowered once (lazily, then cached) to a
-    /// partitioned branch-free bytecode program and interpreted in
-    /// lockstep record lanes ([`crate::compile`]) — the analogue of the
-    /// accelerator's fixed-function walk. Single-threaded, like
-    /// `Sequential`.
-    Compiled,
-}
-
-/// A whole trained model lowered into one contiguous flat form.
+/// A whole trained model lowered into one contiguous flat form — the
+/// compiler's input, plus the program compiled from it.
 ///
 /// Built from per-tree [`TreeTable`]s; construction fails (rather than
 /// corrupting child pointers) if any tree exceeds the `u16` index space
@@ -83,17 +48,16 @@ pub enum ExecMode {
 ///
 /// # Thread safety
 ///
-/// A `FlatEnsemble` is immutable after construction — every scoring
-/// entry point takes `&self` and touches only caller-owned buffers — so
-/// it is `Send + Sync` (enforced by a compile-time assertion below) and
-/// one instance behind an `Arc` can be scored from any number of
-/// threads concurrently with no locking.
+/// A `FlatEnsemble` is immutable after construction (the program cache
+/// is a `OnceLock`), so it is `Send + Sync` (enforced by a compile-time
+/// assertion below) and one instance behind an `Arc` can be scored from
+/// any number of threads concurrently with no locking.
 #[derive(Debug, Clone)]
 pub struct FlatEnsemble {
     /// All trees' 16-byte table entries, concatenated.
     entries: Vec<TableEntry>,
     /// Exact `f64` leaf weight per entry (internal entries hold 0); kept
-    /// alongside the `f32` on-chip encoding so batch results match
+    /// alongside the `f32` on-chip encoding so compiled results match
     /// [`Model::predict_batch`] bit-for-bit.
     weights: Vec<f64>,
     /// Original field tested by each entry, pre-resolved from the
@@ -103,16 +67,6 @@ pub struct FlatEnsemble {
     entry_absents: Vec<u32>,
     /// `entries[tree_offsets[t]..tree_offsets[t + 1]]` is tree `t`.
     tree_offsets: Vec<usize>,
-    /// All trees' renumbered-field gather lists, concatenated: original
-    /// field id per `(tree, renumbered index)` slot — the per-tree
-    /// single-field-column fetch pattern of the accelerator.
-    gather_fields: Vec<u32>,
-    /// Absent bin of each gathered slot, precomputed from the model's
-    /// binnings.
-    gather_absents: Vec<u32>,
-    /// `gather_fields[gather_offsets[t]..gather_offsets[t + 1]]` is tree
-    /// `t`'s gather list.
-    gather_offsets: Vec<usize>,
     /// Field arity the ensemble expects of every record.
     num_fields: usize,
     /// Initial margin added to every prediction.
@@ -123,86 +77,10 @@ pub struct FlatEnsemble {
     /// Outputs per record (`K`); tree `t` accumulates into output
     /// `t % K`. 1 for every scalar objective.
     num_outputs: usize,
-    /// Lazily compiled bytecode program ([`ExecMode::Compiled`]);
-    /// `OnceLock` keeps the ensemble `Send + Sync` and the compile a
-    /// once-per-ensemble cost shared by every later call.
+    /// Lazily compiled program; `OnceLock` keeps the ensemble
+    /// `Send + Sync` and the compile a once-per-ensemble cost shared by
+    /// every later call.
     compiled: OnceLock<CompiledEnsemble>,
-}
-
-/// Append one tree's per-entry resolved arrays — exact `f64` leaf
-/// weight, original field id, and that field's absent bin (leaves hold
-/// 0/0, never read) — the straight-line-load layout both the whole-model
-/// lowering ([`FlatEnsemble::from_model`]) and the single-tree scorer
-/// ([`TreeScorer`]) walk with.
-fn resolve_tree_entries(
-    tree: &Tree,
-    binnings: &[FieldBinning],
-    weights: &mut Vec<f64>,
-    fields: &mut Vec<u32>,
-    absents: &mut Vec<u32>,
-) {
-    for node in tree.nodes() {
-        match node {
-            Node::Leaf { weight } => {
-                weights.push(*weight);
-                fields.push(0);
-                absents.push(0);
-            }
-            Node::Internal { field, .. } => {
-                weights.push(0.0);
-                fields.push(*field);
-                absents.push(binnings[*field as usize].absent_bin());
-            }
-        }
-    }
-}
-
-/// Walk one tree for a record presented as a full per-field bin row
-/// (indexed by original field id); returns `(leaf entry index, path
-/// length in edges)`. `fields`/`absents` are the tree's per-entry
-/// resolved arrays. Generic over the row's bin lookup so packed (`u8`)
-/// and wide (`u32`) layouts both walk monomorphized.
-#[inline]
-fn walk_row(
-    entries: &[TableEntry],
-    fields: &[u32],
-    absents: &[u32],
-    bin_at: impl Fn(usize) -> u32,
-) -> (usize, u32) {
-    let mut idx = 0usize;
-    let mut path = 0u32;
-    loop {
-        let e = &entries[idx];
-        if e.kind == 2 {
-            return (idx, path);
-        }
-        let rule = if e.kind == 0 {
-            SplitRule::Numeric { threshold_bin: e.threshold }
-        } else {
-            SplitRule::Categorical { category: e.threshold }
-        };
-        let bin = bin_at(fields[idx] as usize);
-        let left = goes_left(rule, e.default_left, bin, absents[idx]);
-        idx = if left { e.left as usize } else { e.right as usize };
-        path += 1;
-    }
-}
-
-/// Walk one tree for a record held in a [`RowRef`](crate::preprocess::RowRef):
-/// dispatches the layout once, then runs the monomorphized walk.
-#[inline]
-fn walk_row_ref(
-    entries: &[TableEntry],
-    fields: &[u32],
-    absents: &[u32],
-    row: crate::preprocess::RowRef<'_>,
-) -> (usize, u32) {
-    match row {
-        crate::preprocess::RowRef::Packed(r) => {
-            walk_row(entries, fields, absents, |f| u32::from(r[f]))
-        }
-        crate::preprocess::RowRef::Wide(r) => walk_row(entries, fields, absents, |f| r[f]),
-    }
 }
 
 impl FlatEnsemble {
@@ -218,25 +96,20 @@ impl FlatEnsemble {
         let mut entry_absents = Vec::new();
         let mut tree_offsets = Vec::with_capacity(model.trees.len() + 1);
         tree_offsets.push(0);
-        let mut gather_fields = Vec::new();
-        let mut gather_absents = Vec::new();
-        let mut gather_offsets = Vec::with_capacity(model.trees.len() + 1);
-        gather_offsets.push(0);
         for tree in &model.trees {
-            let table = TreeTable::try_from_tree(tree)?;
-            resolve_tree_entries(
-                tree,
-                &model.binnings,
-                &mut weights,
-                &mut entry_fields,
-                &mut entry_absents,
-            );
-            gather_absents
-                .extend(table.fields_used.iter().map(|&f| model.binnings[f as usize].absent_bin()));
-            gather_fields.extend_from_slice(&table.fields_used);
-            entries.extend_from_slice(&table.entries);
+            entries.extend_from_slice(&TreeTable::try_from_tree(tree)?.entries);
+            for node in tree.nodes() {
+                let (weight, field, absent) = match node {
+                    Node::Leaf { weight } => (*weight, 0, 0),
+                    Node::Internal { field, .. } => {
+                        (0.0, *field, model.binnings[*field as usize].absent_bin())
+                    }
+                };
+                weights.push(weight);
+                entry_fields.push(field);
+                entry_absents.push(absent);
+            }
             tree_offsets.push(entries.len());
-            gather_offsets.push(gather_fields.len());
         }
         Ok(FlatEnsemble {
             entries,
@@ -244,9 +117,6 @@ impl FlatEnsemble {
             entry_fields,
             entry_absents,
             tree_offsets,
-            gather_fields,
-            gather_absents,
-            gather_offsets,
             num_fields: model.binnings.len(),
             base_score: model.base_score,
             objective: model.objective,
@@ -269,9 +139,9 @@ impl FlatEnsemble {
 
     /// The ensemble compiled to its branch-free bytecode program
     /// (default [`CompileOptions`]), built on first use and cached —
-    /// [`ExecMode::Compiled`], `Predictor`, and the serve workers all
-    /// share this one program. For non-default options (truncation,
-    /// cluster sizing) call [`crate::compile::compile`] directly.
+    /// batch scoring, [`Predictor`], and the serve workers all share
+    /// this one program. For non-default options (truncation, cluster
+    /// sizing) call [`crate::compile::compile`] directly.
     pub fn compiled(&self) -> &CompiledEnsemble {
         self.compiled.get_or_init(|| {
             compile(self, &CompileOptions::default())
@@ -310,326 +180,9 @@ impl FlatEnsemble {
         self.num_outputs
     }
 
-    #[inline]
-    fn expect_scalar(&self) {
-        assert_eq!(
-            self.num_outputs, 1,
-            "scalar scoring on a multi-output ensemble; use the *_outputs APIs"
-        );
-    }
-
     /// Field arity the ensemble expects of every record.
     pub fn num_fields(&self) -> usize {
         self.num_fields
-    }
-
-    /// Tree `t`'s renumbered-field gather list: the original field ids,
-    /// in renumbered order, whose single-field columns a BU fetches for
-    /// this tree (Section III-B).
-    pub fn gather_list(&self, t: usize) -> &[u32] {
-        &self.gather_fields[self.gather_offsets[t]..self.gather_offsets[t + 1]]
-    }
-
-    /// Absent bin per slot of [`FlatEnsemble::gather_list`], precomputed
-    /// from the model's binnings.
-    pub fn gather_absents(&self, t: usize) -> &[u32] {
-        &self.gather_absents[self.gather_offsets[t]..self.gather_offsets[t + 1]]
-    }
-
-    fn check_arity(&self, data: &BinnedDataset) {
-        assert_eq!(
-            data.num_fields(),
-            self.num_fields,
-            "dataset field arity does not match the lowered model"
-        );
-    }
-
-    /// Walk tree `t` over records `r0..r1` and report `(block-local
-    /// index, f64 leaf weight, path length)` per record.
-    fn walk_tree_block<F>(&self, t: usize, data: &BinnedDataset, r0: usize, r1: usize, mut visit: F)
-    where
-        F: FnMut(usize, f64, u32),
-    {
-        let entries = &self.entries[self.tree_offsets[t]..self.tree_offsets[t + 1]];
-        let weights = &self.weights[self.tree_offsets[t]..self.tree_offsets[t + 1]];
-        let fields = &self.entry_fields[self.tree_offsets[t]..self.tree_offsets[t + 1]];
-        let absents = &self.entry_absents[self.tree_offsets[t]..self.tree_offsets[t + 1]];
-        for r in r0..r1 {
-            let (leaf, path) = walk_row_ref(entries, fields, absents, data.row(r));
-            visit(r - r0, weights[leaf], path);
-        }
-    }
-
-    /// Accumulate every tree's leaf weights (and optionally path
-    /// lengths) for one record block. `margins` must be pre-seeded with
-    /// the base score.
-    fn score_block(
-        &self,
-        data: &BinnedDataset,
-        r0: usize,
-        r1: usize,
-        margins: &mut [f64],
-        mut paths: Option<&mut [u64]>,
-    ) {
-        for t in 0..self.num_trees() {
-            match paths.as_deref_mut() {
-                Some(p) => self.walk_tree_block(t, data, r0, r1, |i, w, len| {
-                    margins[i] += w;
-                    p[i] += u64::from(len);
-                }),
-                None => self.walk_tree_block(t, data, r0, r1, |i, w, _| margins[i] += w),
-            }
-        }
-    }
-
-    /// Batch prediction over a binned dataset.
-    ///
-    /// All modes return bit-identical results to
-    /// [`Model::predict_batch`]; the dataset must be binned with the
-    /// model's own binnings (the same precondition `Model`'s binned
-    /// entry points carry).
-    pub fn predict_batch(&self, data: &BinnedDataset, mode: ExecMode) -> Vec<f64> {
-        let mut out = vec![0.0; data.num_records()];
-        self.score_into(data, mode, &mut out);
-        out
-    }
-
-    /// Score a binned dataset into a caller-provided buffer —
-    /// [`FlatEnsemble::predict_batch`] without the output allocation, so
-    /// serving workers can reuse one scratch buffer across batches.
-    ///
-    /// `out` is fully overwritten (its prior contents are ignored) and
-    /// must hold exactly one slot per record. `Sequential`,
-    /// `RecordParallel`, and `Compiled` perform **no heap allocation**
-    /// (after `Compiled`'s one-time lazy program build); `TreeParallel`
-    /// allocates per-tree scratch for its fan-out (use it for large
-    /// offline batches, not latency-sensitive serving). Results are
-    /// bit-identical to [`Model::predict_batch`] in every mode.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != data.num_records()` or on a field-arity
-    /// mismatch.
-    pub fn score_into(&self, data: &BinnedDataset, mode: ExecMode, out: &mut [f64]) {
-        self.expect_scalar();
-        self.check_arity(data);
-        assert_eq!(out.len(), data.num_records(), "output buffer must cover every record");
-        match mode {
-            ExecMode::Sequential => {
-                out.fill(self.base_score);
-                for (b, chunk) in out.chunks_mut(BLOCK_RECORDS).enumerate() {
-                    let r0 = b * BLOCK_RECORDS;
-                    self.score_block(data, r0, r0 + chunk.len(), chunk, None);
-                    for m in chunk.iter_mut() {
-                        *m = self.objective.transform(*m);
-                    }
-                }
-            }
-            ExecMode::RecordParallel => {
-                out.fill(self.base_score);
-                out.par_chunks_mut(BLOCK_RECORDS)
-                    .enumerate()
-                    .map(|(b, chunk)| {
-                        let r0 = b * BLOCK_RECORDS;
-                        self.score_block(data, r0, r0 + chunk.len(), chunk, None);
-                        for m in chunk.iter_mut() {
-                            *m = self.objective.transform(*m);
-                        }
-                    })
-                    .for_each();
-            }
-            ExecMode::TreeParallel => self.tree_parallel_into(data, out),
-            ExecMode::Compiled => self.compiled().score_into(data, out),
-        }
-    }
-
-    /// Score records presented as a raw row-major bin matrix
-    /// (`bins[r * num_fields + f]`, one bin index per field per record)
-    /// into a caller-provided buffer — the allocation-free entry point
-    /// online serving uses for coalesced micro-batches that never
-    /// materialize a [`BinnedDataset`]. Sequential cache-blocked
-    /// execution, bit-identical to [`Model::predict_batch`] over the
-    /// same rows.
-    ///
-    /// # Panics
-    /// Panics if `bins.len() != out.len() * num_fields`.
-    pub fn score_bins_into(&self, bins: &[u32], out: &mut [f64]) {
-        self.expect_scalar();
-        let nf = self.num_fields;
-        assert_eq!(bins.len(), out.len() * nf, "bin matrix shape must be records x fields");
-        for (b, chunk) in out.chunks_mut(BLOCK_RECORDS).enumerate() {
-            let r0 = b * BLOCK_RECORDS;
-            chunk.fill(self.base_score);
-            for t in 0..self.num_trees() {
-                let span = self.tree_offsets[t]..self.tree_offsets[t + 1];
-                let entries = &self.entries[span.clone()];
-                let fields = &self.entry_fields[span.clone()];
-                let absents = &self.entry_absents[span.clone()];
-                let weights = &self.weights[span];
-                for (i, m) in chunk.iter_mut().enumerate() {
-                    let r = r0 + i;
-                    let row = &bins[r * nf..(r + 1) * nf];
-                    let (leaf, _) = walk_row(entries, fields, absents, |f| row[f]);
-                    *m += weights[leaf];
-                }
-            }
-            for m in chunk.iter_mut() {
-                *m = self.objective.transform(*m);
-            }
-        }
-    }
-
-    /// Tree-parallel execution: per outer block, every tree walks the
-    /// block on its own core into a per-tree weight buffer, then the
-    /// combine folds those weights **in tree order** — the same addition
-    /// sequence as sequential execution, hence bit-identical.
-    fn tree_parallel_into(&self, data: &BinnedDataset, out: &mut [f64]) {
-        let n = data.num_records();
-        out.fill(self.base_score);
-        let mut r0 = 0;
-        while r0 < n {
-            let r1 = (r0 + TREE_PARALLEL_BLOCK).min(n);
-            let per_tree: Vec<Vec<f64>> = (0..self.num_trees())
-                .into_par_iter()
-                .map(|t| {
-                    let mut w = vec![0.0f64; r1 - r0];
-                    self.walk_tree_block(t, data, r0, r1, |i, wt, _| w[i] = wt);
-                    w
-                })
-                .collect();
-            for tw in &per_tree {
-                for (m, &w) in out[r0..r1].iter_mut().zip(tw) {
-                    *m += w;
-                }
-            }
-            r0 = r1;
-        }
-        for m in out.iter_mut() {
-            *m = self.objective.transform(*m);
-        }
-    }
-
-    /// Batch prediction returning per-record total path length across
-    /// all trees (the SRAM-lookup count batch inference performs per
-    /// record) — the flat-engine replacement for
-    /// [`Model::predict_batch_with_paths`], with identical output.
-    pub fn predict_batch_with_paths(&self, data: &BinnedDataset) -> (Vec<f64>, Vec<u64>) {
-        self.expect_scalar();
-        self.check_arity(data);
-        let n = data.num_records();
-        let mut margins = vec![self.base_score; n];
-        let mut paths = vec![0u64; n];
-        let mut r0 = 0;
-        while r0 < n {
-            let r1 = (r0 + BLOCK_RECORDS).min(n);
-            self.score_block(data, r0, r1, &mut margins[r0..r1], Some(&mut paths[r0..r1]));
-            r0 = r1;
-        }
-        (margins.into_iter().map(|m| self.objective.transform(m)).collect(), paths)
-    }
-
-    /// Multi-output batch prediction: one row-major `K`-slot row per
-    /// record (`out[r * K + c]`), with the objective's link function
-    /// applied per row. Tree `t` accumulates into output `t % K`, in
-    /// tree order — for `K = 1` this is exactly the `Sequential` scalar
-    /// path. Single-threaded cache-blocked execution.
-    ///
-    /// # Panics
-    /// Panics if `out.len() != num_records * num_outputs` or on a
-    /// field-arity mismatch.
-    pub fn score_outputs_into(&self, data: &BinnedDataset, out: &mut [f64]) {
-        self.check_arity(data);
-        let k = self.num_outputs;
-        let n = data.num_records();
-        assert_eq!(out.len(), n * k, "output buffer must hold num_outputs slots per record");
-        out.fill(self.base_score);
-        let mut r0 = 0;
-        while r0 < n {
-            let r1 = (r0 + BLOCK_RECORDS).min(n);
-            for t in 0..self.num_trees() {
-                let c = t % k;
-                self.walk_tree_block(t, data, r0, r1, |i, w, _| out[(r0 + i) * k + c] += w);
-            }
-            r0 = r1;
-        }
-        for row in out.chunks_mut(k) {
-            self.objective.transform_outputs(row);
-        }
-    }
-
-    /// [`FlatEnsemble::score_outputs_into`] with an owned result.
-    pub fn predict_batch_outputs(&self, data: &BinnedDataset) -> Vec<f64> {
-        let mut out = vec![0.0; data.num_records() * self.num_outputs];
-        self.score_outputs_into(data, &mut out);
-        out
-    }
-
-    /// Multi-output twin of [`FlatEnsemble::score_bins_into`]: score a
-    /// raw row-major bin matrix into `records x K` transformed outputs,
-    /// with no heap allocation — the serving entry point for
-    /// multi-output models (and bit-identical to the scalar path's
-    /// margins when `K = 1`).
-    ///
-    /// # Panics
-    /// Panics if the matrix and output shapes disagree.
-    pub fn score_bins_outputs_into(&self, bins: &[u32], out: &mut [f64]) {
-        let nf = self.num_fields;
-        let k = self.num_outputs;
-        assert_eq!(bins.len() % nf, 0, "bin matrix shape must be records x fields");
-        let n = bins.len() / nf;
-        assert_eq!(out.len(), n * k, "output buffer must hold num_outputs slots per record");
-        out.fill(self.base_score);
-        for t in 0..self.num_trees() {
-            let span = self.tree_offsets[t]..self.tree_offsets[t + 1];
-            let entries = &self.entries[span.clone()];
-            let fields = &self.entry_fields[span.clone()];
-            let absents = &self.entry_absents[span.clone()];
-            let weights = &self.weights[span];
-            let c = t % k;
-            for r in 0..n {
-                let row = &bins[r * nf..(r + 1) * nf];
-                let (leaf, _) = walk_row(entries, fields, absents, |f| row[f]);
-                out[r * k + c] += weights[leaf];
-            }
-        }
-        for row in out.chunks_mut(k) {
-            self.objective.transform_outputs(row);
-        }
-    }
-
-    /// Raw margin for one record presented as per-field bins (indexed by
-    /// original field id).
-    fn margin_of_row(&self, row: &[u32]) -> f64 {
-        let mut m = self.base_score;
-        for t in 0..self.num_trees() {
-            let span = self.tree_offsets[t]..self.tree_offsets[t + 1];
-            let (leaf, _) = walk_row(
-                &self.entries[span.clone()],
-                &self.entry_fields[span.clone()],
-                &self.entry_absents[span.clone()],
-                |f| row[f],
-            );
-            m += self.weights[span][leaf];
-        }
-        m
-    }
-
-    /// Raw margin vector for one record presented as per-field bins:
-    /// `out` (length `K`) is seeded with the base score and tree `t`
-    /// accumulates into slot `t % K`. No link function applied.
-    fn margins_of_row_outputs(&self, row: &[u32], out: &mut [f64]) {
-        debug_assert_eq!(out.len(), self.num_outputs);
-        out.fill(self.base_score);
-        let k = self.num_outputs;
-        for t in 0..self.num_trees() {
-            let span = self.tree_offsets[t]..self.tree_offsets[t + 1];
-            let (leaf, _) = walk_row(
-                &self.entries[span.clone()],
-                &self.entry_fields[span.clone()],
-                &self.entry_absents[span.clone()],
-                |f| row[f],
-            );
-            out[t % k] += self.weights[span][leaf];
-        }
     }
 }
 
@@ -643,10 +196,9 @@ const _: () = {
     assert_send_sync::<FlatEnsemble>();
     assert_send_sync::<Predictor>();
     assert_send_sync::<Model>();
-    assert_send_sync::<TreeScorer>();
 };
 
-/// Serving-style scorer over raw records: the flat engine plus the
+/// Serving-style scorer over raw records: the compiled program plus the
 /// model's binnings, with **no per-call heap allocations** — the absent
 /// bins are precomputed once at construction and the bins scratch
 /// buffer is reused across calls, unlike [`Model::predict_raw`] which
@@ -664,55 +216,39 @@ pub struct Predictor {
     flat: FlatEnsemble,
     binnings: Vec<FieldBinning>,
     bins: Vec<u32>,
-    mode: ExecMode,
 }
 
 impl Predictor {
-    /// Build a predictor from a trained model (interpreted
-    /// [`ExecMode::Sequential`] walk; see [`Predictor::with_mode`]).
+    /// Build a predictor from a trained model. The program is compiled
+    /// here, so the first request does not pay for it.
     ///
     /// # Errors
     /// Propagates [`TableLoweringError`] for trees too large to encode.
     pub fn from_model(model: &Model) -> Result<Self, TableLoweringError> {
-        Ok(Predictor {
-            flat: FlatEnsemble::from_model(model)?,
-            binnings: model.binnings.clone(),
-            bins: Vec::new(),
-            mode: ExecMode::Sequential,
-        })
+        let flat = FlatEnsemble::from_model(model)?;
+        let _ = flat.compiled();
+        Ok(Predictor { flat, binnings: model.binnings.clone(), bins: Vec::new() })
     }
 
-    /// Select the single-record scoring engine: [`ExecMode::Compiled`]
-    /// walks the cached bytecode program (built eagerly here so the
-    /// first request does not pay the compile), every other mode walks
-    /// the interpreted flat tables. Results are bit-identical either
-    /// way.
-    pub fn with_mode(mut self, mode: ExecMode) -> Self {
-        if mode == ExecMode::Compiled {
-            let _ = self.flat.compiled();
-        }
-        self.mode = mode;
-        self
-    }
-
-    /// The currently selected single-record scoring engine.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
+    /// Discretize one raw record into the scratch row and score it into
+    /// `out` (`num_outputs` slots).
+    fn score(&mut self, record: &[RawValue], out: &mut [f64]) {
+        assert_eq!(record.len(), self.binnings.len(), "record arity mismatch");
+        self.bins.clear();
+        self.bins.extend(record.iter().zip(&self.binnings).map(|(v, b)| b.bin_of(*v)));
+        self.flat.compiled().score_bins_into(&self.bins, out);
     }
 
     /// Transformed prediction for one raw record; bit-identical to
     /// [`Model::predict_raw`].
+    ///
+    /// # Panics
+    /// Panics on a multi-output model (one slot cannot hold `K`
+    /// outputs); use [`Predictor::predict_one_outputs`].
     pub fn predict_one(&mut self, record: &[RawValue]) -> f64 {
-        self.flat.expect_scalar();
-        assert_eq!(record.len(), self.binnings.len(), "record arity mismatch");
-        self.bins.clear();
-        self.bins.extend(record.iter().zip(&self.binnings).map(|(v, b)| b.bin_of(*v)));
-        let margin = if self.mode == ExecMode::Compiled {
-            self.flat.compiled().margin_of_row(&self.bins)
-        } else {
-            self.flat.margin_of_row(&self.bins)
-        };
-        self.flat.objective.transform(margin)
+        let mut out = 0.0;
+        self.score(record, std::slice::from_mut(&mut out));
+        out
     }
 
     /// Score a mini-batch of raw records into a reusable output buffer
@@ -729,18 +265,13 @@ impl Predictor {
 
     /// Transformed output vector for one raw record (softmax
     /// probabilities for multiclass models; a single slot for scalar
-    /// objectives). `out` is overwritten and sized to `num_outputs`,
-    /// with no other allocation — the multi-output serving twin of
-    /// [`Predictor::predict_one`]. Always walks the interpreted flat
-    /// tables (the compiled program interprets scalar ensembles only).
+    /// objectives), bit-identical to [`Model::predict_raw_outputs`].
+    /// `out` is overwritten and sized to `num_outputs`, with no other
+    /// allocation.
     pub fn predict_one_outputs(&mut self, record: &[RawValue], out: &mut Vec<f64>) {
-        assert_eq!(record.len(), self.binnings.len(), "record arity mismatch");
-        self.bins.clear();
-        self.bins.extend(record.iter().zip(&self.binnings).map(|(v, b)| b.bin_of(*v)));
         out.clear();
         out.resize(self.flat.num_outputs, 0.0);
-        self.flat.margins_of_row_outputs(&self.bins, out);
-        self.flat.objective.transform_outputs(out);
+        self.score(record, out);
     }
 
     /// The underlying flat ensemble.
@@ -749,54 +280,12 @@ impl Predictor {
     }
 }
 
-/// Incremental single-tree scorer — the flat engine's unit of work for
-/// pipelines that grow a model one tree at a time (validation-driven
-/// early stopping scores the held-out set after *each* tree, so
-/// re-lowering the whole ensemble per round would be quadratic).
-///
-/// One tree is lowered to its contiguous 16-byte table with the same
-/// pre-resolved per-entry field/absent arrays and exact `f64` leaf
-/// weights [`FlatEnsemble`] uses, so [`TreeScorer::add_margins`] is
-/// bit-identical to accumulating [`Tree::traverse_binned`] weights.
-#[derive(Debug, Clone)]
-pub struct TreeScorer {
-    entries: Vec<TableEntry>,
-    fields: Vec<u32>,
-    absents: Vec<u32>,
-    weights: Vec<f64>,
-}
-
-impl TreeScorer {
-    /// Lower one tree against the model's binnings.
-    ///
-    /// # Errors
-    /// Propagates [`TableLoweringError`] if the tree exceeds the `u16`
-    /// entry encoding; callers fall back to the node walk.
-    pub fn try_new(tree: &Tree, binnings: &[FieldBinning]) -> Result<Self, TableLoweringError> {
-        let table = TreeTable::try_from_tree(tree)?;
-        let n = table.entries.len();
-        let mut fields = Vec::with_capacity(n);
-        let mut absents = Vec::with_capacity(n);
-        let mut weights = Vec::with_capacity(n);
-        resolve_tree_entries(tree, binnings, &mut weights, &mut fields, &mut absents);
-        Ok(TreeScorer { entries: table.entries, fields, absents, weights })
-    }
-
-    /// Add this tree's exact leaf weight to every record's margin.
-    pub fn add_margins(&self, data: &BinnedDataset, margins: &mut [f64]) {
-        assert_eq!(data.num_records(), margins.len(), "margin buffer must cover every record");
-        for (r, m) in margins.iter_mut().enumerate() {
-            let (leaf, _) = walk_row_ref(&self.entries, &self.fields, &self.absents, data.row(r));
-            *m += self.weights[leaf];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::columnar::ColumnarMirror;
     use crate::dataset::Dataset;
+    use crate::preprocess::BinnedDataset;
     use crate::schema::{DatasetSchema, FieldSchema};
     use crate::train::{train, TrainConfig};
     use crate::tree::Tree;
@@ -825,22 +314,35 @@ mod tests {
         (model, data, ds)
     }
 
-    #[test]
-    fn all_exec_modes_match_node_walk_bitwise() {
+    /// A 3-class softmax model over real trained trees: reuse the
+    /// trained ensemble's trees round-robin so walks are non-trivial.
+    fn softmax_model() -> (Model, BinnedDataset) {
         let (model, data, _) = trained_model();
-        let flat = FlatEnsemble::from_model(&model).expect("small trees lower");
-        let expect = model.predict_batch(&data);
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::RecordParallel,
-            ExecMode::TreeParallel,
-            ExecMode::Compiled,
-        ] {
-            let got = flat.predict_batch(&data, mode);
-            assert_eq!(got.len(), expect.len());
-            for (r, (a, b)) in got.iter().zip(&expect).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "mode {mode:?}, record {r}");
-            }
+        let stub = Model {
+            base_score: 0.0,
+            objective: Objective::Softmax { num_class: 3 },
+            num_outputs: 3,
+            ..model
+        };
+        (stub, data)
+    }
+
+    fn raw_record(ds: &Dataset, r: usize) -> Vec<RawValue> {
+        (0..ds.num_fields()).map(|f| ds.value(r, f)).collect()
+    }
+
+    fn bin_matrix(data: &BinnedDataset) -> Vec<u32> {
+        let mut bins = Vec::with_capacity(data.num_records() * data.num_fields());
+        for r in 0..data.num_records() {
+            data.row(r).extend_into(&mut bins);
+        }
+        bins
+    }
+
+    fn assert_bits(got: &[f64], expect: &[f64]) {
+        assert_eq!(got.len(), expect.len());
+        for (i, (a, b)) in got.iter().zip(expect).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "slot {i}");
         }
     }
 
@@ -849,19 +351,14 @@ mod tests {
         let (model, data, _) = trained_model();
         let flat = FlatEnsemble::from_model(&model).expect("lowering");
         let expect = model.predict_batch(&data);
-        // Scratch reuse: stale contents must not leak into any mode.
+        // Scratch reuse: stale contents must not leak through either
+        // the kernel or the parallel driver.
         let mut out = vec![f64::NAN; data.num_records()];
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::RecordParallel,
-            ExecMode::TreeParallel,
-            ExecMode::Compiled,
-        ] {
-            flat.score_into(&data, mode, &mut out);
-            for (r, (a, b)) in out.iter().zip(&expect).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "mode {mode:?}, record {r}");
-            }
-        }
+        flat.compiled().score_into(&data, &mut out);
+        assert_bits(&out, &expect);
+        out.fill(f64::NAN);
+        flat.compiled().score_into_parallel(&data, &mut out);
+        assert_bits(&out, &expect);
     }
 
     #[test]
@@ -869,24 +366,16 @@ mod tests {
         let (model, data, _) = trained_model();
         let flat = FlatEnsemble::from_model(&model).expect("lowering");
         let expect = model.predict_batch(&data);
-        // Rebuild the row-major bin matrix the serving path would hand in.
-        let n = data.num_records();
-        let mut bins = Vec::with_capacity(n * flat.num_fields());
-        for r in 0..n {
-            data.row(r).extend_into(&mut bins);
-        }
-        let mut out = vec![f64::NAN; n];
-        flat.score_bins_into(&bins, &mut out);
-        for (r, (a, b)) in out.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "record {r}");
-        }
-        // Sub-batch (fewer rows than one block, serving-sized).
+        // The row-major bin matrix the serving path would hand in.
+        let bins = bin_matrix(&data);
+        let mut out = vec![f64::NAN; data.num_records()];
+        flat.compiled().score_bins_into(&bins, &mut out);
+        assert_bits(&out, &expect);
+        // Sub-batch (fewer rows than one lane group, serving-sized).
         let m = 7;
         let mut small = vec![0.0; m];
-        flat.score_bins_into(&bins[..m * flat.num_fields()], &mut small);
-        for (r, (a, b)) in small.iter().zip(&expect[..m]).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "record {r}");
-        }
+        flat.compiled().score_bins_into(&bins[..m * flat.num_fields()], &mut small);
+        assert_bits(&small, &expect[..m]);
     }
 
     #[test]
@@ -895,7 +384,7 @@ mod tests {
         let (model, data, _) = trained_model();
         let flat = FlatEnsemble::from_model(&model).expect("lowering");
         let mut out = vec![0.0; data.num_records() - 1];
-        flat.score_into(&data, ExecMode::Sequential, &mut out);
+        flat.compiled().score_into_parallel(&data, &mut out);
     }
 
     #[test]
@@ -905,7 +394,7 @@ mod tests {
         let flat = FlatEnsemble::from_model(&model).expect("lowering");
         let bins = vec![0u32; flat.num_fields() * 2 + 1];
         let mut out = vec![0.0; 2];
-        flat.score_bins_into(&bins, &mut out);
+        flat.compiled().score_bins_into(&bins, &mut out);
     }
 
     #[test]
@@ -913,71 +402,28 @@ mod tests {
         let (model, data, _) = trained_model();
         let flat = FlatEnsemble::from_model(&model).expect("lowering");
         let (preds_a, paths_a) = model.predict_batch_with_paths(&data);
-        let (preds_b, paths_b) = flat.predict_batch_with_paths(&data);
+        let (preds_b, paths_b) = flat.compiled().predict_batch_with_paths(&data);
         assert_eq!(paths_a, paths_b);
-        for (a, b) in preds_a.iter().zip(&preds_b) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn gather_lists_cover_each_trees_fields() {
-        let (model, _, _) = trained_model();
-        let flat = FlatEnsemble::from_model(&model).expect("lowering");
-        for (t, tree) in model.trees.iter().enumerate() {
-            assert_eq!(flat.gather_list(t), tree.fields_used().as_slice(), "tree {t}");
-            let absents: Vec<u32> = tree
-                .fields_used()
-                .iter()
-                .map(|&f| model.binnings[f as usize].absent_bin())
-                .collect();
-            assert_eq!(flat.gather_absents(t), absents.as_slice(), "tree {t}");
-        }
+        assert_bits(&preds_b, &preds_a);
     }
 
     #[test]
     fn predictor_matches_predict_raw_and_reuses_buffers() {
         let (model, _, ds) = trained_model();
         let mut pred = Predictor::from_model(&model).expect("lowering");
-        let mut record = Vec::new();
         for r in (0..700).step_by(53) {
-            record.clear();
-            for f in 0..ds.num_fields() {
-                record.push(ds.value(r, f));
-            }
+            let record = raw_record(&ds, r);
             let a = pred.predict_one(&record);
             let b = model.predict_raw(&record);
             assert_eq!(a.to_bits(), b.to_bits(), "record {r}");
         }
         // Mini-batch into a reused output buffer.
-        let recs: Vec<Vec<RawValue>> =
-            (0..5).map(|r| (0..ds.num_fields()).map(|f| ds.value(r, f)).collect()).collect();
+        let recs: Vec<Vec<RawValue>> = (0..5).map(|r| raw_record(&ds, r)).collect();
         let mut out = vec![0.0; 99]; // stale content must be cleared
         pred.predict_many(recs.iter().map(Vec::as_slice), &mut out);
         assert_eq!(out.len(), 5);
-        for (r, p) in out.iter().enumerate() {
-            let rec: Vec<RawValue> = (0..ds.num_fields()).map(|f| ds.value(r, f)).collect();
-            assert_eq!(p.to_bits(), model.predict_raw(&rec).to_bits());
-        }
-    }
-
-    #[test]
-    fn predictor_compiled_mode_matches_predict_raw() {
-        let (model, _, ds) = trained_model();
-        let mut pred =
-            Predictor::from_model(&model).expect("lowering").with_mode(ExecMode::Compiled);
-        assert_eq!(pred.exec_mode(), ExecMode::Compiled);
-        let mut record = Vec::new();
-        for r in (0..700).step_by(37) {
-            record.clear();
-            for f in 0..ds.num_fields() {
-                record.push(ds.value(r, f));
-            }
-            assert_eq!(
-                pred.predict_one(&record).to_bits(),
-                model.predict_raw(&record).to_bits(),
-                "record {r}"
-            );
+        for (rec, p) in recs.iter().zip(&out) {
+            assert_eq!(p.to_bits(), model.predict_raw(rec).to_bits());
         }
     }
 
@@ -988,39 +434,13 @@ mod tests {
             trees: vec![Tree::leaf(0.25), Tree::leaf(-0.125)],
             base_score: 0.5,
             objective: Objective::SquaredError,
-            num_outputs: 1,
-            schema: model.schema.clone(),
-            binnings: model.binnings.clone(),
+            ..model
         };
         let flat = FlatEnsemble::from_model(&stub).expect("leaf trees lower");
         assert_eq!(flat.num_trees(), 2);
-        assert!(flat.gather_list(0).is_empty());
-        for mode in [
-            ExecMode::Sequential,
-            ExecMode::RecordParallel,
-            ExecMode::TreeParallel,
-            ExecMode::Compiled,
-        ] {
-            let got = flat.predict_batch(&data, mode);
-            assert!(got.iter().all(|&p| p == 0.625), "mode {mode:?}");
-        }
-        let (_, paths) = flat.predict_batch_with_paths(&data);
+        let (got, paths) = flat.compiled().predict_batch_with_paths(&data);
+        assert!(got.iter().all(|&p| p == 0.625));
         assert!(paths.iter().all(|&p| p == 0));
-    }
-
-    /// A 3-class softmax model over real trained trees: reuse the
-    /// trained ensemble's trees round-robin so walks are non-trivial.
-    fn softmax_model() -> (Model, BinnedDataset) {
-        let (model, data, _) = trained_model();
-        let stub = Model {
-            trees: model.trees.clone(),
-            base_score: 0.0,
-            objective: Objective::Softmax { num_class: 3 },
-            num_outputs: 3,
-            schema: model.schema.clone(),
-            binnings: model.binnings.clone(),
-        };
-        (stub, data)
     }
 
     #[test]
@@ -1029,26 +449,16 @@ mod tests {
         let flat = FlatEnsemble::from_model(&model).expect("lowering");
         assert_eq!(flat.num_outputs(), 3);
         let expect = model.predict_batch_outputs(&data);
-        let got = flat.predict_batch_outputs(&data);
-        assert_eq!(got.len(), expect.len());
-        for (r, (a, b)) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "slot {r}");
-        }
+        let got = flat.compiled().predict_batch(&data);
+        assert_bits(&got, &expect);
         // Rows are probability vectors.
         for row in got.chunks(3) {
             assert!((row.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
         // The bin-matrix serving path agrees.
-        let n = data.num_records();
-        let mut bins = Vec::with_capacity(n * flat.num_fields());
-        for r in 0..n {
-            data.row(r).extend_into(&mut bins);
-        }
-        let mut out = vec![f64::NAN; n * 3];
-        flat.score_bins_outputs_into(&bins, &mut out);
-        for (a, b) in out.iter().zip(&expect) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        let mut out = vec![f64::NAN; expect.len()];
+        flat.compiled().score_bins_into(&bin_matrix(&data), &mut out);
+        assert_bits(&out, &expect);
     }
 
     #[test]
@@ -1058,32 +468,30 @@ mod tests {
         let mut pred = Predictor::from_model(&model).expect("lowering");
         let mut out = Vec::new();
         for r in (0..700).step_by(101) {
-            let rec: Vec<RawValue> = (0..ds.num_fields()).map(|f| ds.value(r, f)).collect();
+            let rec = raw_record(&ds, r);
             pred.predict_one_outputs(&rec, &mut out);
-            let expect = model.predict_raw_outputs(&rec);
-            assert_eq!(out.len(), expect.len());
-            for (a, b) in out.iter().zip(&expect) {
-                assert_eq!(a.to_bits(), b.to_bits(), "record {r}");
-            }
+            assert_bits(&out, &model.predict_raw_outputs(&rec));
         }
     }
 
     #[test]
-    #[should_panic(expected = "scalar scoring on a multi-output ensemble")]
+    #[should_panic(expected = "num_outputs slots per record")]
     fn scalar_scoring_rejects_multi_output_models() {
-        let (model, data) = softmax_model();
-        let flat = FlatEnsemble::from_model(&model).expect("lowering");
-        let _ = flat.predict_batch(&data, ExecMode::Sequential);
+        let (model, _) = softmax_model();
+        let (_, _, ds) = trained_model();
+        let mut pred = Predictor::from_model(&model).expect("lowering");
+        let _ = pred.predict_one(&raw_record(&ds, 0));
     }
 
     #[test]
     fn one_output_outputs_path_matches_scalar_margins() {
-        let (model, data, _) = trained_model();
-        let flat = FlatEnsemble::from_model(&model).expect("lowering");
-        let expect = model.predict_batch(&data);
-        let got = flat.predict_batch_outputs(&data);
-        for (r, (a, b)) in got.iter().zip(&expect).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "record {r}");
+        let (model, _, ds) = trained_model();
+        let mut pred = Predictor::from_model(&model).expect("lowering");
+        let mut out = vec![f64::NAN; 4]; // resized to the one output
+        for r in (0..700).step_by(101) {
+            let rec = raw_record(&ds, r);
+            pred.predict_one_outputs(&rec, &mut out);
+            assert_bits(&out, &[model.predict_raw(&rec)]);
         }
     }
 
@@ -1101,31 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_scorer_matches_node_walk_bit_for_bit() {
-        let (model, data, _) = trained_model();
-        let n = data.num_records();
-        // Accumulate tree by tree through the flat scorer…
-        let mut flat_margins = vec![model.base_score; n];
-        for tree in &model.trees {
-            let scorer = TreeScorer::try_new(tree, &model.binnings).expect("small tree lowers");
-            scorer.add_margins(&data, &mut flat_margins);
-        }
-        // …and compare against the per-record node walk.
-        for (r, m) in flat_margins.iter().enumerate() {
-            assert_eq!(m.to_bits(), model.margin_binned(&data, r).to_bits(), "record {r}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "margin buffer")]
-    fn tree_scorer_rejects_short_margin_buffer() {
-        let (model, data, _) = trained_model();
-        let scorer = TreeScorer::try_new(&model.trees[0], &model.binnings).unwrap();
-        let mut margins = vec![0.0; data.num_records() - 1];
-        scorer.add_margins(&data, &mut margins);
-    }
-
-    #[test]
     #[should_panic(expected = "field arity")]
     fn arity_mismatch_is_rejected() {
         let (model, _, _) = trained_model();
@@ -1134,6 +517,6 @@ mod tests {
         let mut ds = Dataset::new(schema);
         ds.push_record(&[RawValue::Num(1.0)], 0.0);
         let narrow = BinnedDataset::from_dataset(&ds);
-        let _ = flat.predict_batch(&narrow, ExecMode::Sequential);
+        let _ = flat.compiled().predict_batch(&narrow);
     }
 }

@@ -30,16 +30,19 @@
 //! ([`columnar`]). Per-step wall-clock times, work counters and phase
 //! descriptors ([`phases`]) feed the `booster-sim` timing models.
 //!
-//! Batch **inference** runs on the flat-ensemble engine ([`infer`]):
-//! the whole model lowered into one contiguous structure-of-arrays of
-//! 16-byte tree-table entries, scored in cache-sized record blocks with
-//! sequential, record-parallel, and tree-parallel execution — the
-//! software analogue of Booster's SRAM-resident batch-inference engine
-//! (Section III-D). The flat form can additionally be **compiled**
-//! ([`compile`], [`program`]) into a partitioned branch-free bytecode
-//! program — specialization, dead-code elimination, and cache-budgeted
-//! tree clustering — interpreted in lockstep record lanes with no
-//! data-dependent branches, bit-identical to the node walk.
+//! **Inference** has one oracle, one kernel and one driver. The
+//! per-record node walk ([`predict`]) is the deliberately simple
+//! reference the differential tests compare against. Production
+//! scoring lowers the whole model into one contiguous
+//! structure-of-arrays of 16-byte tree-table entries ([`infer`]) and
+//! **compiles** it ([`compile`], [`program`]) into a partitioned
+//! branch-free bytecode program — specialization, dead-code
+//! elimination, and cache-budgeted tree clustering — run in cache-sized
+//! record blocks of lockstep record lanes with no data-dependent
+//! branches, for any number of outputs, bit-identical to the node walk:
+//! the software analogue of Booster's SRAM-resident batch-inference
+//! engine (Section III-D). Parallelism is a driver over record ranges
+//! of that kernel, not a second engine.
 //!
 //! ## Quickstart
 //!
@@ -80,7 +83,6 @@ pub mod grow;
 pub mod histogram;
 pub mod infer;
 pub mod io;
-pub mod levelwise;
 pub mod metrics;
 pub mod parallel;
 pub mod partition;
@@ -103,10 +105,9 @@ pub mod prelude {
     pub use crate::dataset::{Dataset, RawValue};
     pub use crate::gradients::{GradPair, Loss, Objective};
     pub use crate::grow::{grow_forest_with_eval, GrowthStrategy};
-    pub use crate::infer::{ExecMode, FlatEnsemble, Predictor, TreeScorer};
-    pub use crate::levelwise::train_levelwise;
+    pub use crate::infer::{FlatEnsemble, Predictor};
     pub use crate::metrics::EvalMetric;
-    pub use crate::parallel::{train_parallel, ParallelExec};
+    pub use crate::parallel::ParallelExec;
     pub use crate::predict::Model;
     pub use crate::preprocess::BinnedDataset;
     pub use crate::program::{program_from_bytes, program_to_bytes, Program, ProgramError};

@@ -24,10 +24,9 @@ use crate::columnar::{ColumnRef, ColumnarMirror};
 use crate::gradients::{GradPair, Loss};
 use crate::histogram::{bin_field_dense, bin_field_gathered, sum_grad_pairs_dense, NodeHistogram};
 use crate::partition::partition_rows;
-use crate::predict::Model;
 use crate::preprocess::BinnedDataset;
 use crate::split::SplitRule;
-use crate::train::{train_with, SequentialExec, StepExecutor, TrainConfig, TrainReport};
+use crate::train::{SequentialExec, StepExecutor};
 use crate::tree::Tree;
 
 /// Parallel execution of the record-heavy steps: field-parallel Step 1,
@@ -160,24 +159,15 @@ impl StepExecutor for ParallelExec {
     }
 }
 
-/// Train with the parallel backend; the growth order is taken from
-/// `cfg.growth`, so every mode — including level-wise — parallelizes.
-pub fn train_parallel(
-    data: &BinnedDataset,
-    columnar: &ColumnarMirror,
-    cfg: &TrainConfig,
-) -> (Model, TrainReport) {
-    train_with(data, columnar, cfg, &ParallelExec::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dataset::{Dataset, RawValue};
     use crate::grow::GrowthStrategy;
     use crate::metrics;
+    use crate::predict::Model;
     use crate::schema::{DatasetSchema, FieldSchema};
-    use crate::train::{train, SequentialExec};
+    use crate::train::{train, train_with, TrainConfig};
 
     fn dataset(n: usize) -> (BinnedDataset, ColumnarMirror) {
         let schema = DatasetSchema::new(vec![
@@ -210,7 +200,7 @@ mod tests {
         let (m_seq, rep_seq) = train(&data, &mirror, &cfg);
         // Small chunks force the parallel paths on every step.
         let exec = ParallelExec { chunk_size: 512 };
-        let (m_par, rep_par) = crate::train::train_with(&data, &mirror, &cfg, &exec);
+        let (m_par, rep_par) = train_with(&data, &mirror, &cfg, &exec);
         assert_eq!(m_seq.trees, m_par.trees, "field-parallel Step 1 must not reassociate");
         // The loss fold is record-ordered too, so early stopping can
         // never diverge between backends.
@@ -231,7 +221,7 @@ mod tests {
             GrowthStrategy::LeafWise { max_leaves: 8 },
         ] {
             let cfg = TrainConfig { num_trees: 4, max_depth: 4, growth, ..Default::default() };
-            let (m_par, rep) = train_parallel(&data, &mirror, &cfg);
+            let (m_par, rep) = train_with(&data, &mirror, &cfg, &ParallelExec::default());
             assert_eq!(m_par.num_trees(), 4, "{growth:?}");
             assert!(
                 rep.loss_history.last().unwrap() < &rep.loss_history[0],
@@ -246,7 +236,7 @@ mod tests {
         let cfg = TrainConfig { num_trees: 3, max_depth: 3, ..Default::default() };
         // chunk_size larger than n: everything goes through the scalar path.
         let exec = ParallelExec { chunk_size: 1 << 20 };
-        let (m_par, _) = crate::train::train_with(&data, &mirror, &cfg, &exec);
+        let (m_par, _) = train_with(&data, &mirror, &cfg, &exec);
         let (m_seq, _) = train(&data, &mirror, &cfg);
         assert_eq!(m_par.trees, m_seq.trees);
     }
@@ -293,10 +283,8 @@ mod tests {
         let cfg = TrainConfig { num_trees: 2, max_depth: 3, ..Default::default() };
         let execs: Vec<Box<dyn StepExecutor>> =
             vec![Box::new(SequentialExec), Box::new(ParallelExec { chunk_size: 64 })];
-        let models: Vec<Model> = execs
-            .iter()
-            .map(|e| crate::train::train_with(&data, &mirror, &cfg, e.as_ref()).0)
-            .collect();
+        let models: Vec<Model> =
+            execs.iter().map(|e| train_with(&data, &mirror, &cfg, e.as_ref()).0).collect();
         assert_eq!(models[0].trees, models[1].trees);
     }
 }

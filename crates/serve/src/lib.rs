@@ -1,8 +1,9 @@
 //! # booster-serve
 //!
 //! Online model serving for `booster-gbdt`: the layer that turns the
-//! flat-ensemble batch engine
-//! ([`booster_gbdt::infer::FlatEnsemble`]) into a scoring *service*.
+//! compiled batch kernel (a lowered
+//! [`booster_gbdt::infer::FlatEnsemble`]'s program) into a scoring
+//! *service*.
 //! The Booster paper treats batch-inference throughput as a first-class
 //! product of the accelerator (Section III-D, Fig 13); this crate
 //! supplies the system half production GBDT frameworks layer on top of
@@ -70,16 +71,17 @@
 
 pub mod error;
 pub mod frame;
-pub mod histogram;
 pub mod registry;
 pub mod scheduler;
 pub mod tcp;
 
 pub use error::{RegistryError, ServeError};
-pub use histogram::{AtomicHistogram, HistogramSnapshot};
 pub use registry::{ActiveCache, ModelRegistry, RegistrySnapshot, ServingModel, VersionSnapshot};
 pub use scheduler::{
     BatchPolicy, Pending, ResponseSender, ResponseSlot, ScoreResponse, ServeConfig, ServeHandle,
     ServeStats, Server,
 };
 pub use tcp::{RemoteScore, TcpFrontend, TcpScoreClient};
+
+/// The snapshot type of [`ServeStats`]' latency and batch-size fields.
+pub use booster_obs::hist::HistogramSnapshot;

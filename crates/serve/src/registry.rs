@@ -45,7 +45,7 @@ impl ServingModel {
         self.version
     }
 
-    /// The flat scoring engine.
+    /// The lowered ensemble; its `compiled()` program is what scores.
     pub fn flat(&self) -> &FlatEnsemble {
         &self.flat
     }
@@ -298,7 +298,7 @@ impl RegistrySnapshot {
 
 /// Export one version's liveness into the process-wide obs registry:
 /// records served, compiled program geometry, and cluster residency
-/// (cluster×block interpreter passes — how often the compiled engine
+/// (cluster×block kernel passes — how often the compiled engine
 /// re-enters each cache-resident cluster). Sampled gauges capture only
 /// a `Weak`, so retiring a version still frees its memory; a dead weak
 /// renders 0. Re-registering the same version number (a fresh registry

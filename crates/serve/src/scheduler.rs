@@ -28,10 +28,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use booster_gbdt::dataset::RawValue;
+use booster_obs::hist::{AtomicHistogram, HistogramSnapshot};
 use booster_obs::metrics::{Counter, Gauge};
 
 use crate::error::ServeError;
-use crate::histogram::{AtomicHistogram, HistogramSnapshot};
 use crate::registry::{ActiveCache, ModelRegistry, ServingModel};
 
 /// Handles into the process-wide [`booster_obs`] registry, resolved
@@ -708,14 +708,8 @@ fn run_worker(rx: Receiver<Vec<Request>>, shared: Arc<Shared>, cost: Duration) {
             let k = model.flat().num_outputs();
             out.clear();
             out.resize(run.len() * k, 0.0);
-            // Compiled branch-free engine, pre-warmed at registration;
-            // bit-identical to the interpreted flat walk. Multi-output
-            // models take the flat K-margin path instead.
-            if k == 1 {
-                model.flat().compiled().score_bins_into(&bins, &mut out);
-            } else {
-                model.flat().score_bins_outputs_into(&bins, &mut out);
-            }
+            // The compiled program was pre-warmed at registration.
+            model.flat().compiled().score_bins_into(&bins, &mut out);
             if !cost.is_zero() {
                 std::thread::sleep(cost * run.len() as u32);
             }

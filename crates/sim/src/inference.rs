@@ -38,7 +38,7 @@ impl InferenceWorkload {
     /// Measure the workload by running batch inference functionally on
     /// the compiled branch-free program — the closest software analogue
     /// of the accelerator walk the model prices (edge counts are
-    /// identical to the flat and node walks; `compiled_paths_match_flat_paths`
+    /// identical to the node walk's; `compiled_paths_match_flat_paths`
     /// in `booster-gbdt` pins this). Trees too large for the 16-byte
     /// table encoding fall back to the node-walk path (they cannot be
     /// SRAM-resident anyway, but their path statistics are still valid).

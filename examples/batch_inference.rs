@@ -1,8 +1,8 @@
 //! Batch inference (offline analytics / scoring): train an ensemble,
-//! score a large batch functionally — the per-record node walk against
-//! the flat-ensemble blocked engine in its three execution modes and the
-//! compiled branch-free bytecode program — and model the same batch on
-//! Booster's inference engine (Section III-D).
+//! score a large batch functionally — the per-record node walk (the
+//! oracle) against the compiled branch-free lane kernel on one core and
+//! fanned over cores — and model the same batch on Booster's inference
+//! engine (Section III-D).
 //!
 //! Run with: `cargo run --release --example batch_inference`
 
@@ -33,22 +33,11 @@ fn main() {
         flat.num_entries()
     );
 
-    // --- Functional batch scoring: node walk vs the flat engine. ---------
+    // --- Functional batch scoring: node walk vs the compiled kernel. -----
     let t0 = Instant::now();
     let node_walk = model.predict_batch(&data);
     let t_node = t0.elapsed();
-    let timed = |mode: ExecMode| {
-        let t = Instant::now();
-        let preds = flat.predict_batch(&data, mode);
-        let dt = t.elapsed();
-        // Every mode is bit-identical to the per-record node walk.
-        assert!(preds.iter().zip(&node_walk).all(|(a, b)| a.to_bits() == b.to_bits()));
-        dt
-    };
-    let t_flat = timed(ExecMode::Sequential);
-    let t_rec = timed(ExecMode::RecordParallel);
-    let t_tree = timed(ExecMode::TreeParallel);
-    // Warm the one-time lowering outside the timed region, then report
+    // The one-time lowering happens outside the timed region; report
     // the program's shape alongside the tables it was compiled from.
     let compiled = flat.compiled();
     println!(
@@ -58,37 +47,29 @@ fn main() {
         compiled.to_bytes().len() / 1024,
         compiled.dce_dropped()
     );
-    let t_comp = timed(ExecMode::Compiled);
+    let mut preds = vec![0.0; data.num_records()];
+    let mut timed = |score: &dyn Fn(&mut [f64])| {
+        let t = Instant::now();
+        score(&mut preds);
+        let dt = t.elapsed();
+        // Bit-identical to the per-record node walk either way.
+        assert!(preds.iter().zip(&node_walk).all(|(a, b)| a.to_bits() == b.to_bits()));
+        dt
+    };
+    let t_comp = timed(&|out| compiled.score_into(&data, out));
+    let t_par = timed(&|out| compiled.score_into_parallel(&data, out));
     println!("functional scoring of {} records (all bit-identical):", data.num_records());
-    let mrps =
-        |dt: std::time::Duration| data.num_records() as f64 / dt.as_secs_f64().max(1e-9) / 1e6;
-    println!(
-        "  node walk            : {:7.1} ms  ({:.2} M rec/s)",
-        t_node.as_secs_f64() * 1e3,
-        mrps(t_node)
-    );
-    println!(
-        "  flat blocked         : {:7.1} ms  ({:.2} M rec/s)  {:.2}x vs node walk",
-        t_flat.as_secs_f64() * 1e3,
-        mrps(t_flat),
-        t_node.as_secs_f64() / t_flat.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "  flat record-parallel : {:7.1} ms  ({:.2} M rec/s)",
-        t_rec.as_secs_f64() * 1e3,
-        mrps(t_rec)
-    );
-    println!(
-        "  flat tree-parallel   : {:7.1} ms  ({:.2} M rec/s)",
-        t_tree.as_secs_f64() * 1e3,
-        mrps(t_tree)
-    );
-    println!(
-        "  compiled bytecode    : {:7.1} ms  ({:.2} M rec/s)  {:.2}x vs flat blocked",
-        t_comp.as_secs_f64() * 1e3,
-        mrps(t_comp),
-        t_flat.as_secs_f64() / t_comp.as_secs_f64().max(1e-9)
-    );
+    let row = |name: &str, dt: std::time::Duration| {
+        println!(
+            "  {name:<18}: {:7.1} ms  ({:.2} M rec/s)  {:.2}x vs node walk",
+            dt.as_secs_f64() * 1e3,
+            data.num_records() as f64 / dt.as_secs_f64().max(1e-9) / 1e6,
+            t_node.as_secs_f64() / dt.as_secs_f64().max(1e-9)
+        );
+    };
+    row("node walk", t_node);
+    row("compiled", t_comp);
+    row("compiled parallel", t_par);
 
     // --- Accelerator model, scaled to a 10M-record batch x 500 trees. --
     let measured = InferenceWorkload::measure(&model, &data);

@@ -63,9 +63,9 @@ fn main() {
     let served = model_from_bytes(&bytes).unwrap();
 
     // --- 5. Serve predictions on raw records. ----------------------------
-    // `Predictor` lowers the model to the flat tree-table engine once,
-    // precomputes the absent bins, and reuses its scratch buffers — no
-    // per-request heap allocation, unlike `Model::predict_raw`.
+    // `Predictor` lowers and compiles the model once, precomputes the
+    // absent bins, and reuses its scratch buffers — no per-request heap
+    // allocation, unlike `Model::predict_raw`.
     let mut predictor = Predictor::from_model(&served).expect("trees fit the table encoding");
     let plan_idx = |name: &str| category_names[1].iter().position(|p| p == name).unwrap() as u32;
     let risky = predictor.predict_one(&[
@@ -90,7 +90,7 @@ fn main() {
                 RawValue::Cat(0),
             ])
             .to_bits(),
-        "flat serving path must match the node walk exactly"
+        "compiled serving path must match the node walk exactly"
     );
     println!("P(churn | 3mo, basic, spend unknown) = {risky:.3}");
     println!("P(churn | 60mo, pro, $95)            = {loyal:.3}");

@@ -2,7 +2,7 @@
 //!
 //! Trains on a Higgs-like table (noisy nonlinear labels — exactly the
 //! regime where boosting overfits), holding out a validation set that
-//! is scored through the flat-ensemble engine after every tree. The
+//! is scored after every tree. The
 //! run demonstrates:
 //!
 //! 1. `best_iteration < num_trees`: the eval metric bottoms out well
@@ -104,7 +104,7 @@ fn main() {
     );
     // Guaranteed invariant: re-scoring the truncated model from scratch
     // reproduces the per-tree pipeline's best history entry bit for bit
-    // (same fold order, exact f64 leaf weights in the flat scorer). The
+    // (same fold order, exact f64 leaf weights). The
     // full-vs-stopped comparison above is informational — the optimum is
     // over evaluated prefixes, which on this seed favors the stopped
     // model, but that is data, not an invariant.

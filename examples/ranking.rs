@@ -86,9 +86,7 @@ fn main() {
     let restored = model_from_bytes(&bytes).expect("v2 bytes parse");
     assert_eq!(restored.objective.name(), "lambdarank");
     let flat = FlatEnsemble::from_model(&restored).expect("trees lower");
-    let compiled = compile(&flat, &CompileOptions::default()).expect("program compiles");
-    let mut compiled_scores = vec![0.0f64; eval.num_records()];
-    compiled.score_into(&eval, &mut compiled_scores);
+    let compiled_scores = flat.compiled().predict_batch(&eval);
     for (r, (walk, prod)) in margins.iter().zip(&compiled_scores).enumerate() {
         assert_eq!(walk.to_bits(), prod.to_bits(), "record {r}: compiled score drifted");
     }

@@ -12,7 +12,7 @@
 //!   Ideal CPU / Ideal GPU / inter-record baselines.
 //! - [`datagen`] — deterministic synthetic equivalents of the paper's five
 //!   evaluation datasets (Table III).
-//! - [`serve`] — online scoring service over the flat-ensemble engine:
+//! - [`serve`] — online scoring service over the compiled lane kernel:
 //!   micro-batching scheduler, versioned model registry with hot-swap,
 //!   and a `std::net` TCP front-end.
 //! - [`dist`] — distributed data-parallel training: record-sharded

@@ -1,14 +1,16 @@
 //! Differential test layer for compiled inference.
 //!
-//! The compiled bytecode program's correctness contract is **bitwise
-//! equality** with `Model::predict_batch` (and hence with every
-//! `FlatEnsemble` mode, which carry the same contract). This suite
-//! enforces it differentially across the whole configuration space —
-//! every `GrowthStrategy`, stochastic-sampling configs, truncated
-//! models, every partition shape, records with missing values, and the
-//! program wire roundtrip — plus corruption/fuzz tests proving the
-//! bytecode decoder rejects hostile streams with typed errors and never
-//! panics or misscores.
+//! The compiled bytecode program is the one production scoring engine;
+//! its correctness contract is **bitwise equality** with the node-walk
+//! oracle (`Model::predict_batch(_outputs)`, `Model::predict_raw(_outputs)`).
+//! This suite enforces it differentially across the whole configuration
+//! space — every scoring entry point (dataset and bin-matrix kernels in
+//! both bin layouts, the parallel driver, `Predictor`) at every output
+//! count and batch shape, every `GrowthStrategy`, stochastic-sampling
+//! configs, truncated models, every partition shape, records with
+//! missing values, and the program wire roundtrip — plus corruption/fuzz
+//! tests proving the bytecode decoder rejects hostile streams with typed
+//! errors and never panics or misscores.
 //!
 //! Runs on the vendored `PROPTEST_SEED` rail: CI's second-seed property
 //! job re-runs the whole differential layer under a different seed, and
@@ -18,10 +20,11 @@
 use proptest::prelude::*;
 
 use booster_repro::gbdt::columnar::ColumnarMirror;
-use booster_repro::gbdt::compile::{compile, CompileOptions, CompiledEnsemble};
+use booster_repro::gbdt::compile::{compile, CompileOptions, CompiledEnsemble, LANES};
 use booster_repro::gbdt::dataset::{Dataset, RawValue};
+use booster_repro::gbdt::gradients::Objective;
 use booster_repro::gbdt::grow::GrowthStrategy;
-use booster_repro::gbdt::infer::{ExecMode, FlatEnsemble, TreeScorer};
+use booster_repro::gbdt::infer::{FlatEnsemble, Predictor};
 use booster_repro::gbdt::predict::Model;
 use booster_repro::gbdt::preprocess::BinnedDataset;
 use booster_repro::gbdt::program::{program_from_bytes, ProgramError, INSTR_SLOT_BYTES};
@@ -89,11 +92,10 @@ const GROWTHS: [GrowthStrategy; 3] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Compiled output is bit-identical to the node walk AND the flat
-    /// engine under every growth strategy, through both the ExecMode
-    /// entry point and a direct compile, across partition shapes from
-    /// one-tree-per-cluster to a single cluster, and after a program
-    /// wire roundtrip.
+    /// Compiled output is bit-identical to the node walk under every
+    /// growth strategy, through both the cached default program and a
+    /// direct compile, across partition shapes from one-tree-per-cluster
+    /// to a single cluster, and after a program wire roundtrip.
     #[test]
     fn compiled_is_bit_identical_across_growth_and_partitions(
         (data, mirror) in arb_training_data()
@@ -104,14 +106,9 @@ proptest! {
             let flat = FlatEnsemble::from_model(&model).expect("depth-3 trees lower");
             let expect = model.predict_batch(&data);
             assert_bits(
-                &flat.predict_batch(&data, ExecMode::Sequential),
+                &flat.compiled().predict_batch(&data),
                 &expect,
-                &format!("flat sequential, growth {growth:?}"),
-            );
-            assert_bits(
-                &flat.predict_batch(&data, ExecMode::Compiled),
-                &expect,
-                &format!("ExecMode::Compiled, growth {growth:?}"),
+                &format!("cached default program, growth {growth:?}"),
             );
             for cluster_bytes in [1usize, 24 * INSTR_SLOT_BYTES, usize::MAX] {
                 let c = compile(&flat, &CompileOptions { cluster_bytes, max_trees: None })
@@ -154,7 +151,7 @@ proptest! {
             let flat = FlatEnsemble::from_model(&model).expect("lowering");
             let expect = model.predict_batch(&data);
             assert_bits(
-                &flat.predict_batch(&data, ExecMode::Compiled),
+                &flat.compiled().predict_batch(&data),
                 &expect,
                 &format!("stochastic, growth {growth:?}, seed {seed}"),
             );
@@ -179,7 +176,7 @@ proptest! {
             // Path A: truncate the model, then compile.
             let tf = FlatEnsemble::from_model(&truncated).expect("lowering");
             assert_bits(
-                &tf.predict_batch(&data, ExecMode::Compiled),
+                &tf.compiled().predict_batch(&data),
                 &expect,
                 &format!("truncate-then-compile, k={k}"),
             );
@@ -223,6 +220,149 @@ proptest! {
     }
 }
 
+// ------------------------------------------------- the entry-point matrix
+
+/// Batch shapes around every kernel boundary: empty, a lone record, a
+/// lane group minus/exactly/plus one, a scoring block minus/exactly/plus
+/// one, and several blocks with a lane group + tail at the end.
+const RECORD_COUNTS: [usize; 9] = [0, 1, 7, 8, 9, 255, 256, 257, 700];
+
+/// 700 raw records (numeric cells go missing at ~1/13) whose label is a
+/// class id in `0..3`, drawn from an LCG over `seed`.
+fn matrix_dataset(seed: u64) -> Dataset {
+    let schema = DatasetSchema::new(vec![
+        FieldSchema::numeric_with_bins("x", 16),
+        FieldSchema::categorical("c", 5),
+        FieldSchema::numeric_with_bins("y", 8),
+    ]);
+    let mut ds = Dataset::new(schema);
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    for _ in 0..700 {
+        let (a, c, b) = (next() % 1000, next() % 5, next() % 100);
+        let x = if a % 13 == 0 { RawValue::Missing } else { RawValue::Num(a as f32) };
+        let class = (u32::from(a >= 500) + u32::from(c == 2 || b >= 60)) as f32;
+        ds.push_record(&[x, RawValue::Cat(c), RawValue::Num(b as f32)], class);
+    }
+    ds
+}
+
+fn raw_record(ds: &Dataset, r: usize) -> Vec<RawValue> {
+    (0..ds.num_fields()).map(|f| ds.value(r, f)).collect()
+}
+
+/// The first `n` records of `ds`, binned the way `model` was trained.
+fn binned_prefix(ds: &Dataset, n: usize, model: &Model) -> BinnedDataset {
+    let mut head = Dataset::new(ds.schema().clone());
+    for r in 0..n {
+        head.push_record(&raw_record(ds, r), ds.labels()[r]);
+    }
+    BinnedDataset::from_dataset_with_binnings(&head, model.binnings.clone())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// One matrix instead of a copy per engine: {`score_into` over packed
+    /// and wide bins, `score_bins_into`, the parallel driver,
+    /// `Predictor::predict_one(_outputs)`} x K in {1, 3} x every batch
+    /// shape x every growth strategy x {one cluster, clusters that start
+    /// mid-round} must equal the node-walk oracle bit for bit. Covers
+    /// K = 3 through the lane kernel with a lane group + tail (9 and 257
+    /// records; the parent commit had no such path) and, on a multi-core
+    /// host, driver ranges that end off a lane boundary (700 records
+    /// over 2 cores is 350 + 350).
+    #[test]
+    fn every_entry_point_matches_the_oracle_at_every_k_and_batch_shape(seed in any::<u64>()) {
+        let ds = matrix_dataset(seed);
+        let full = BinnedDataset::from_dataset(&ds);
+        let mirror = ColumnarMirror::from_binned(&full);
+        for growth in GROWTHS {
+            for objective in [Objective::SquaredError, Objective::Softmax { num_class: 3 }] {
+                let cfg = TrainConfig {
+                    num_trees: 4,
+                    max_depth: 4,
+                    growth,
+                    objective,
+                    ..Default::default()
+                };
+                let (model, _) = train_with(&full, &mirror, &cfg, &SequentialExec);
+                let k = model.num_outputs as usize;
+                let what = format!("K={k}, growth {growth:?}");
+                let flat = FlatEnsemble::from_model(&model).expect("depth-4 trees lower");
+                // ~Two trees per cluster: with K = 3 the clusters open on
+                // slots 0, 2, 1, … so the slot arithmetic is exercised.
+                let clustered = compile(
+                    &flat,
+                    &CompileOptions { cluster_bytes: 40 * INSTR_SLOT_BYTES, max_trees: None },
+                )
+                .expect("compile");
+                prop_assert!(
+                    k == 1 || clustered.num_clusters() > 2,
+                    "{}: partition too coarse", what
+                );
+
+                for n in RECORD_COUNTS {
+                    let packed = binned_prefix(&ds, n, &model);
+                    prop_assert!(packed.is_packed());
+                    let wide = packed.to_wide();
+                    let expect = if k == 1 {
+                        model.predict_batch(&packed)
+                    } else {
+                        model.predict_batch_outputs(&packed)
+                    };
+                    let mut bins = Vec::with_capacity(n * packed.num_fields());
+                    for r in 0..n {
+                        packed.row(r).extend_into(&mut bins);
+                    }
+                    for (program, shape) in
+                        [(flat.compiled(), "one cluster"), (&clustered, "clustered")]
+                    {
+                        // Stale buffer contents must never leak through.
+                        let mut out = vec![f64::NAN; n * k];
+                        let check = |out: &mut Vec<f64>, entry: &str| {
+                            assert_bits(out, &expect, &format!("{entry}, {shape}, n={n}, {what}"));
+                            out.fill(f64::NAN);
+                        };
+                        program.score_into(&packed, &mut out);
+                        check(&mut out, "score_into packed");
+                        program.score_into(&wide, &mut out);
+                        check(&mut out, "score_into wide");
+                        program.score_into_parallel(&packed, &mut out);
+                        check(&mut out, "score_into_parallel packed");
+                        program.score_into_parallel(&wide, &mut out);
+                        check(&mut out, "score_into_parallel wide");
+                        program.score_bins_into(&bins, &mut out);
+                        check(&mut out, "score_bins_into");
+                    }
+                }
+
+                let mut predictor = Predictor::from_model(&model).expect("lowering");
+                let mut outputs = Vec::new();
+                for r in (0..LANES + 1).chain((LANES + 1..700).step_by(61)) {
+                    let record = raw_record(&ds, r);
+                    predictor.predict_one_outputs(&record, &mut outputs);
+                    assert_bits(
+                        &outputs,
+                        &model.predict_raw_outputs(&record),
+                        &format!("predict_one_outputs, record {r}, {what}"),
+                    );
+                    if k == 1 {
+                        prop_assert_eq!(
+                            predictor.predict_one(&record).to_bits(),
+                            model.predict_raw(&record).to_bits(),
+                            "predict_one, record {}, {}", r, what
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 // --------------------------------------------------- deterministic tests
 
 fn trained_fixture() -> (Model, BinnedDataset) {
@@ -243,35 +383,6 @@ fn trained_fixture() -> (Model, BinnedDataset) {
     let cfg = TrainConfig { num_trees: 5, max_depth: 4, ..Default::default() };
     let (model, _) = train_with(&data, &mirror, &cfg, &SequentialExec);
     (model, data)
-}
-
-/// A single tree scored through `TreeScorer` (the incremental training
-/// scorer) and through a one-tree compiled program accumulate the exact
-/// same margins — the two single-tree engines agree bit-for-bit.
-#[test]
-fn tree_scorer_and_compiled_single_tree_agree_bitwise() {
-    let (model, data) = trained_fixture();
-    for (t, tree) in model.trees.iter().enumerate() {
-        let scorer = TreeScorer::try_new(tree, &model.binnings).expect("small tree lowers");
-        let mut scorer_margins = vec![0.0f64; data.num_records()];
-        scorer.add_margins(&data, &mut scorer_margins);
-
-        // One-tree model, squared-error loss (identity transform) and
-        // zero base score: predictions ARE the tree's margins.
-        let one = Model {
-            trees: vec![tree.clone()],
-            base_score: 0.0,
-            objective: booster_repro::gbdt::gradients::Objective::SquaredError,
-            num_outputs: 1,
-            schema: model.schema.clone(),
-            binnings: model.binnings.clone(),
-        };
-        let flat = FlatEnsemble::from_model(&one).expect("lowering");
-        let compiled_margins = flat.compiled().predict_batch(&data);
-        for (r, (a, b)) in scorer_margins.iter().zip(&compiled_margins).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "tree {t}, record {r}");
-        }
-    }
 }
 
 /// Every strict prefix of a valid program must fail to decode cleanly

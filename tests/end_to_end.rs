@@ -4,7 +4,6 @@
 use booster_repro::datagen::{default_objective, generate, generate_binned, Benchmark};
 use booster_repro::gbdt::columnar::ColumnarMirror;
 use booster_repro::gbdt::metrics;
-use booster_repro::gbdt::parallel::train_parallel;
 use booster_repro::gbdt::prelude::*;
 use booster_repro::gbdt::preprocess::BinnedDataset;
 use booster_repro::gbdt::split::SplitParams;
@@ -104,7 +103,7 @@ fn parallel_training_matches_sequential_on_benchmarks() {
         let (data, mirror) = generate_binned(b, 8_000, 2);
         let cfg = train_cfg(b, 8);
         let (m_seq, _) = train(&data, &mirror, &cfg);
-        let (m_par, _) = train_parallel(&data, &mirror, &cfg);
+        let (m_par, _) = train_with(&data, &mirror, &cfg, &ParallelExec::default());
         let labels: Vec<f64> = data.labels().iter().map(|&y| f64::from(y)).collect();
         let l_seq = metrics::logloss(&m_seq.predict_batch(&data), &labels);
         let l_par = metrics::logloss(&m_par.predict_batch(&data), &labels);

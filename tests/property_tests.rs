@@ -305,13 +305,14 @@ proptest! {
     /// predictions on any dataset.
     #[test]
     fn levelwise_equals_vertexwise((data, grads, _) in arb_dataset_and_grads()) {
-        use booster_repro::gbdt::levelwise::train_levelwise;
+        use booster_repro::gbdt::grow::GrowthStrategy;
         use booster_repro::gbdt::train::{train, TrainConfig};
         let _ = grads;
         let (data, mirror) = relabel(&data);
         let cfg = TrainConfig { num_trees: 3, max_depth: 4, ..Default::default() };
         let (mv, _) = train(&data, &mirror, &cfg);
-        let (ml, _) = train_levelwise(&data, &mirror, &cfg);
+        let level = TrainConfig { growth: GrowthStrategy::LevelWise, ..cfg };
+        let (ml, _) = train(&data, &mirror, &level);
         for r in 0..data.num_records() {
             let pv = mv.predict_binned(&data, r);
             let pl = ml.predict_binned(&data, r);
@@ -482,16 +483,17 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The flat-ensemble engine must reproduce the per-record node walk
-    /// **bit-for-bit** in every execution mode, for models grown under
-    /// every strategy, and report the same per-record path lengths as
-    /// `predict_batch_with_paths`.
+    /// A lowered model's compiled program must reproduce the per-record
+    /// node walk **bit-for-bit** on generated datasets, for models grown
+    /// under every strategy, and report the same per-record path lengths
+    /// as `predict_batch_with_paths`. (The entry-point x K x batch-shape
+    /// matrix lives in `tests/compiled_differential.rs`.)
     #[test]
     fn flat_ensemble_is_bit_identical_to_node_walk(
         (data, grads, _) in arb_dataset_and_grads()
     ) {
         use booster_repro::gbdt::grow::GrowthStrategy;
-        use booster_repro::gbdt::infer::{ExecMode, FlatEnsemble};
+        use booster_repro::gbdt::infer::FlatEnsemble;
         use booster_repro::gbdt::train::{train_with, SequentialExec, TrainConfig};
         let _ = grads;
         let (data, mirror) = relabel(&data);
@@ -503,27 +505,17 @@ proptest! {
             let cfg = TrainConfig { num_trees: 3, max_depth: 3, growth, ..Default::default() };
             let (model, _) = train_with(&data, &mirror, &cfg, &SequentialExec);
             let flat = FlatEnsemble::from_model(&model).expect("depth-3 trees lower");
-            let expect = model.predict_batch(&data);
-            for mode in [
-                ExecMode::Sequential,
-                ExecMode::RecordParallel,
-                ExecMode::TreeParallel,
-                ExecMode::Compiled,
-            ] {
-                let got = flat.predict_batch(&data, mode);
-                prop_assert_eq!(got.len(), expect.len());
-                for (r, (a, b)) in got.iter().zip(&expect).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "growth {:?}, mode {:?}, record {}", growth, mode, r
-                    );
-                }
-            }
             let (preds_node, paths_node) = model.predict_batch_with_paths(&data);
-            let (preds_flat, paths_flat) = flat.predict_batch_with_paths(&data);
+            let (preds_flat, paths_flat) = flat.compiled().predict_batch_with_paths(&data);
             prop_assert_eq!(&paths_node, &paths_flat, "paths, growth {:?}", growth);
-            for (a, b) in preds_node.iter().zip(&preds_flat) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
+            let got = flat.compiled().predict_batch(&data);
+            prop_assert_eq!(got.len(), preds_node.len());
+            for (r, ((a, b), c)) in got.iter().zip(&preds_flat).zip(&preds_node).enumerate() {
+                prop_assert_eq!(a.to_bits(), c.to_bits(), "growth {:?}, record {}", growth, r);
+                prop_assert_eq!(
+                    b.to_bits(), c.to_bits(),
+                    "with paths, growth {:?}, record {}", growth, r
+                );
             }
         }
     }
@@ -554,16 +546,15 @@ proptest! {
 
     /// serialize → deserialize → flat-ensemble lowering: a restored
     /// model's [`FlatEnsemble`] must score **bit-identically** to the
-    /// original in-memory model, for every growth strategy and every
-    /// execution mode — the wire format preserves exactly what the
-    /// batch engine consumes (closing the serialize ↔ infer coverage
-    /// gap).
+    /// original in-memory model, for every growth strategy — the wire
+    /// format preserves exactly what the batch engine consumes (closing
+    /// the serialize ↔ infer coverage gap).
     #[test]
     fn deserialized_models_lower_to_bit_identical_flat_ensembles(
         (data, grads, _) in arb_dataset_and_grads()
     ) {
         use booster_repro::gbdt::grow::GrowthStrategy;
-        use booster_repro::gbdt::infer::{ExecMode, FlatEnsemble};
+        use booster_repro::gbdt::infer::FlatEnsemble;
         use booster_repro::gbdt::serialize::{model_from_bytes, model_to_bytes};
         use booster_repro::gbdt::train::{train_with, SequentialExec, TrainConfig};
         let _ = grads;
@@ -579,19 +570,10 @@ proptest! {
                 model_from_bytes(&model_to_bytes(&model)).expect("roundtrip");
             let flat = FlatEnsemble::from_model(&restored).expect("depth-3 trees lower");
             let expect = model.predict_batch(&data);
-            for mode in [
-                ExecMode::Sequential,
-                ExecMode::RecordParallel,
-                ExecMode::TreeParallel,
-                ExecMode::Compiled,
-            ] {
-                let got = flat.predict_batch(&data, mode);
-                for (r, (a, b)) in got.iter().zip(&expect).enumerate() {
-                    prop_assert_eq!(
-                        a.to_bits(), b.to_bits(),
-                        "growth {:?}, mode {:?}, record {}", growth, mode, r
-                    );
-                }
+            let got = flat.compiled().predict_batch(&data);
+            prop_assert_eq!(got.len(), expect.len());
+            for (r, (a, b)) in got.iter().zip(&expect).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "growth {:?}, record {}", growth, r);
             }
         }
     }
