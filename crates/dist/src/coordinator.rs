@@ -21,7 +21,7 @@ use parking_lot::Mutex;
 
 use booster_gbdt::columnar::{ColumnRef, ColumnarMirror};
 use booster_gbdt::gradients::{GradPair, Loss};
-use booster_gbdt::grow::grow_forest_with_eval;
+use booster_gbdt::grow::{grow_forest_with_eval, scalar_base_score};
 use booster_gbdt::histogram::{LaneAccumulator, NodeHistogram};
 use booster_gbdt::predict::Model;
 use booster_gbdt::preprocess::BinnedDataset;
@@ -430,13 +430,6 @@ impl<C: Comm + Send> StepExecutor for DistExec<C> {
     }
 }
 
-fn scalar_loss_for(cfg: &TrainConfig) -> Result<Loss, DistError> {
-    cfg.objective.scalar_loss().ok_or(DistError::Unsupported(
-        "coupled multi-output objectives (softmax, lambdarank) run their \
-         step-5 loops outside the executor",
-    ))
-}
-
 /// Distributed training over an arbitrary transport, with an optional
 /// evaluation set (scored coordinator-side, exactly as local training
 /// scores it).
@@ -469,12 +462,11 @@ pub fn train_distributed_with_eval<C: Comm + Send>(
             data.num_records()
         )));
     }
-    let loss = scalar_loss_for(cfg)?;
-    // Identical to grow_scalar's opening: the mean label fold runs over
-    // the full dataset in row order.
-    let n = data.num_records();
-    let label_mean = data.labels().iter().map(|&y| f64::from(y)).sum::<f64>() / n as f64;
-    let base_score = loss.base_score(label_mean);
+    let loss = cfg.objective.scalar_loss().ok_or(DistError::Unsupported(
+        "coupled objectives (softmax, lambdarank) update their margins outside the executor",
+    ))?;
+    // The engine's own opening fold, over the full dataset in row order.
+    let base_score = scalar_base_score(loss, data.labels());
 
     let exec = DistExec::new(comm, plan.clone())?;
     exec.init_workers(loss, base_score)?;

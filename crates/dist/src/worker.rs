@@ -130,7 +130,7 @@ impl WorkerState {
         }
     }
 
-    /// Mirror of `grow_scalar`'s initialisation, restricted to the
+    /// Mirror of the engine's scalar-loss opening, restricted to the
     /// shard: every record starts at `base_score` and gets its first
     /// gradient pair and loss value from there.
     fn init(&mut self, loss: Loss, base_score: f64) {

@@ -172,8 +172,8 @@ impl Loss {
 /// The training objective: what the full K-output model optimizes.
 ///
 /// Scalar objectives ([`Objective::SquaredError`], [`Objective::Logistic`],
-/// [`Objective::PinballQuantile`]) lower to a [`Loss`] and run the
-/// original one-output engine path bit-for-bit. [`Objective::Softmax`]
+/// [`Objective::PinballQuantile`]) lower to a [`Loss`] and update their
+/// gradients in the fused Step-5 traversal. [`Objective::Softmax`]
 /// grows `num_class` trees per boosting round (one per output) and
 /// couples gradients across the K margins of a record;
 /// [`Objective::LambdaRank`] keeps one output but couples gradients
@@ -227,7 +227,7 @@ impl Objective {
 
     /// The per-record scalar loss this objective lowers to, when its
     /// gradients decouple per record. `None` for the coupled objectives
-    /// (softmax, LambdaRank), which have dedicated engine loops.
+    /// (softmax, LambdaRank), which refresh theirs once per round.
     pub fn scalar_loss(&self) -> Option<Loss> {
         match self {
             Objective::SquaredError => Some(Loss::SquaredError),

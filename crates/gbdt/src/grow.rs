@@ -1,5 +1,5 @@
-//! The unified tree-growth engine: one loop for every growth order ×
-//! execution backend.
+//! The unified growth engine: one boosting loop for every objective, one
+//! tree loop for every growth order × execution backend.
 //!
 //! Section II-A of the paper contrasts two ways of scheduling Steps 1–4
 //! of Table I: **vertex-by-vertex** (explore one vertex at a time,
@@ -27,27 +27,35 @@
 //! (including the previously unreachable parallel level-wise
 //! configuration) and with the functional device model in `booster-sim`.
 //!
-//! Shared machinery — base-score/margin/gradient initialization, the
-//! outer tree loop with stochastic row/column sampling (all masks drawn
-//! from one seeded [`SampleStream`] owned by the engine, never by an
-//! executor), the validation pipeline
-//! ([`grow_forest_with_eval`]: per-tree eval scoring with
-//! patience-based early stopping),
-//! [`StepTimes`] / [`WorkCounters`] instrumentation, Step-5 traversal,
-//! and [`PhaseLog`] emission — lives here once. Phase descriptors keep their
-//! mode-specific *memory access patterns*: vertex-wise and leaf-wise log
-//! per-vertex sparse gathers, while level-wise logs dense full-dataset
-//! streams per level, which is exactly the trade-off the
-//! `ablation_growth` harness quantifies on the timing models.
+//! Around that sits **one boosting loop** ([`grow_forest_with_eval`]).
+//! Table I's Steps 1–4 see only per-record gradient pairs; the objective
+//! enters once, in Step 5's gradient update. So every objective — the
+//! scalar losses, K-output softmax, query-coupled LambdaRank — trains
+//! through the same rounds: for each of the round's `K =
+//! objective.num_outputs()` trees, draw the row sample and field mask
+//! (all masks come from one seeded [`SampleStream`] owned by the engine,
+//! never by an executor), grow the tree from that output's gradient
+//! column, run Step 5, log the phases and add the tree to the eval
+//! margins; then close the round — training loss, eval metric,
+//! `min_loss_decrease` and patience checks. What differs per objective
+//! is one small private state (`Boost`: `n x K` margins and gradients,
+//! and how they open, update in Step 5 and refresh at a round's end).
+//! The validation state, the truncate-to-best-round tail and the
+//! [`StepTimes`] / [`WorkCounters`] / [`PhaseLog`] instrumentation exist
+//! once. Phase descriptors keep their mode-specific *memory access
+//! patterns*: vertex-wise and leaf-wise log per-vertex sparse gathers,
+//! while level-wise logs dense full-dataset streams per level, which is
+//! exactly the trade-off the `ablation_growth` harness quantifies on the
+//! timing models.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use crate::columnar::ColumnarMirror;
 use crate::gradients::{lambdarank_grad_refresh, softmax_grad_refresh, GradPair, Loss, Objective};
 use crate::histogram::{HistogramPool, NodeHistogram};
-use crate::metrics::{multi_logloss, multiclass_accuracy, ndcg_at_k, EvalMetric};
+use crate::metrics::EvalMetric;
 use crate::phases::{
     column_blocks, gh_blocks, row_major_blocks, BinPhase, NodePhase, PartitionPhase, PhaseLog,
     TraversalPhase, TreePhases,
@@ -94,125 +102,262 @@ impl GrowthStrategy {
     }
 }
 
-/// Train a model: the single engine behind [`crate::train::train`] and
-/// [`crate::train::train_with`].
-///
-/// Grows `cfg.num_trees` trees in `cfg.growth` order, executing Steps 1,
-/// 3 and 5 on `exec`, and returns the model plus the instrumented
-/// report.
-///
-/// # Panics
-/// Panics with a descriptive message if `cfg` fails
-/// [`TrainConfig::validate`] or `data` is empty.
-pub fn grow_forest(
-    data: &BinnedDataset,
-    columnar: &ColumnarMirror,
-    cfg: &TrainConfig,
-    exec: &dyn StepExecutor,
-) -> (Model, TrainReport) {
-    grow_forest_with_eval(data, columnar, cfg, exec, None)
+/// Close one timed section: mirror the already-measured interval into
+/// the span ring and add it to its [`StepTimes`] slot (one clock read
+/// serves both).
+fn lap(name: &'static str, start: Instant, slot: &mut Duration) {
+    let elapsed = start.elapsed();
+    crate::telemetry::phase(name, start, elapsed);
+    *slot += elapsed;
 }
 
-/// Add one tree's margins over an eval set (the node walk: one new
-/// tree per call, so there is no ensemble to lower).
-fn add_eval_margins(tree: &Tree, data: &BinnedDataset, margins: &mut [f64]) {
-    for (r, m) in margins.iter_mut().enumerate() {
-        *m += tree.traverse_binned(data, r).0;
+/// Base score of a scalar-loss run: the loss's link of the label mean,
+/// folded over the whole dataset in row order. The engine opens with it
+/// and the distributed coordinator hands the same value to its workers,
+/// so the two agree by construction.
+pub fn scalar_base_score(loss: Loss, labels: &[f32]) -> f64 {
+    let label_mean = labels.iter().map(|&y| f64::from(y)).sum::<f64>() / labels.len() as f64;
+    loss.base_score(label_mean)
+}
+
+/// Everything the boosting loop needs to know about the objective:
+/// row-major `n x K` margins and gradients (`K =
+/// objective.num_outputs()`) plus the four operations that differ per
+/// objective — opening, the gradient column a tree is grown from,
+/// Step 5, and the end of a round. Steps 1-4 only ever see the
+/// gradient column.
+struct Boost<'a> {
+    /// Lowers to a per-record [`Loss`] when gradients decouple per
+    /// record; the coupled objectives (softmax, LambdaRank) refresh
+    /// theirs once per round from the whole margin matrix.
+    objective: Objective,
+    labels: &'a [f32],
+    /// Query groups of the training set (LambdaRank only).
+    groups: &'a [u32],
+    k: usize,
+    base_score: f64,
+    margins: Vec<f64>,
+    grads: Vec<GradPair>,
+    /// One slot's gradient column gathered contiguously (K > 1 only),
+    /// so the engine's kernels stream it like a scalar run.
+    column: Vec<GradPair>,
+    /// Loss total of the newest tree's fused Step 5 (scalar losses).
+    loss_total: f64,
+}
+
+impl<'a> Boost<'a> {
+    /// Initial margins and gradients, and the mean loss before the
+    /// first tree. Scalar losses start every record at the label-mean
+    /// base score; multiclass margins and ranking scores start at zero
+    /// (the label distribution is learned by the first round, and
+    /// ranking scores are relative).
+    fn new(objective: Objective, data: &'a BinnedDataset) -> (Self, f64) {
+        let groups = match objective {
+            Objective::LambdaRank => data.query_groups().expect(
+                "LambdaRank requires query groups on the training set \
+                 (BinnedDataset::set_query_groups)",
+            ),
+            _ => &[],
+        };
+        let (labels, k) = (data.labels(), objective.num_outputs());
+        let base_score =
+            objective.scalar_loss().map_or(0.0, |loss| scalar_base_score(loss, labels));
+        let mut boost = Boost {
+            objective,
+            labels,
+            groups,
+            k,
+            base_score,
+            margins: vec![base_score; labels.len() * k],
+            grads: vec![GradPair::zero(); labels.len() * k],
+            column: Vec::new(),
+            loss_total: 0.0,
+        };
+        let initial_loss = boost.refresh();
+        (boost, initial_loss)
+    }
+
+    /// Recompute every gradient pair from the current margins; returns
+    /// the mean training loss.
+    fn refresh(&mut self) -> f64 {
+        match (self.objective.scalar_loss(), self.objective) {
+            (Some(loss), _) => {
+                let mut loss_sum = 0.0f64;
+                for ((gp, &m), &y) in self.grads.iter_mut().zip(&self.margins).zip(self.labels) {
+                    let (grad, value) = loss.grad_value(m, f64::from(y));
+                    *gp = grad;
+                    loss_sum += value;
+                }
+                loss_sum / self.labels.len() as f64
+            }
+            (None, Objective::LambdaRank) => {
+                lambdarank_grad_refresh(&self.margins, self.labels, self.groups, &mut self.grads)
+            }
+            (None, _) => softmax_grad_refresh(&self.margins, self.labels, self.k, &mut self.grads),
+        }
+    }
+
+    /// The per-record gradient column tree `slot` of a round is grown
+    /// from: the gradient vector itself at K = 1 (never a copy), the
+    /// gathered column otherwise.
+    fn slot_grads(&mut self, slot: usize) -> &[GradPair] {
+        if self.k == 1 {
+            return &self.grads;
+        }
+        self.column.clear();
+        self.column.extend(self.grads.iter().skip(slot).step_by(self.k));
+        &self.column
+    }
+
+    /// Step 5 for one new tree; returns the sum of path lengths. A
+    /// scalar loss runs the executor's fused traversal (margins,
+    /// gradients and the loss total in one pass). A coupled objective
+    /// only adds the tree into margin column `slot`: every tree of a
+    /// round sees the gradients as they stood when the round started,
+    /// and [`Self::end_round`] refreshes them.
+    fn step5(
+        &mut self,
+        exec: &dyn StepExecutor,
+        data: &BinnedDataset,
+        tree: &Tree,
+        slot: usize,
+    ) -> u64 {
+        if let Some(loss) = self.objective.scalar_loss() {
+            let (sum_path, loss_total) = exec.traverse_update(
+                data,
+                tree,
+                loss,
+                self.labels,
+                &mut self.margins,
+                &mut self.grads,
+            );
+            self.loss_total = loss_total;
+            return sum_path;
+        }
+        let mut sum_path = 0u64;
+        for (r, row) in self.margins.chunks_exact_mut(self.k).enumerate() {
+            let (w, path) = tree.traverse_binned(data, r);
+            row[slot] += w;
+            sum_path += u64::from(path);
+        }
+        sum_path
+    }
+
+    /// Close a round that grew at least one tree; returns the mean
+    /// training loss after it. The fused scalar Step 5 already folded
+    /// the total; the coupled objectives refresh their gradients here,
+    /// timed as part of Step 5.
+    fn end_round(&mut self, times: &mut StepTimes) -> f64 {
+        if self.objective.scalar_loss().is_some() {
+            return self.loss_total / self.labels.len() as f64;
+        }
+        let t5 = Instant::now();
+        let mean_loss = self.refresh();
+        lap("step5_refresh", t5, &mut times.step5);
+        mean_loss
     }
 }
 
-/// Per-run state of the validation pipeline: incremental margins over
-/// the held-out set, the metric history, and the best iteration so far.
+/// Per-run state of the validation pipeline: incremental row-major
+/// `n_eval x K` margins over the held-out set, the per-round metric
+/// history, and the best round so far.
 struct EvalState<'a> {
     data: &'a BinnedDataset,
     metric: EvalMetric,
     min_delta: f64,
-    /// The scalar loss used by [`EvalMetric::Loss`] and the per-metric
-    /// transforms.
-    loss: Loss,
+    objective: Objective,
+    k: usize,
     margins: Vec<f64>,
-    /// Labels preconverted to `f64` once (they never change per tree).
+    /// Labels preconverted to `f64` once (they never change per round).
     labels: Vec<f64>,
-    /// Query-group sizes of the eval set, for [`EvalMetric::Ndcg`].
-    groups: Option<Vec<u32>>,
-    /// Scratch buffer for transformed predictions, reused every tree.
+    /// Query-group sizes of the eval set; a set without groups ranks as
+    /// one whole-set query.
+    groups: Vec<u32>,
+    /// Scratch buffer for transformed predictions, reused every round.
     preds: Vec<f64>,
     history: Vec<f64>,
-    /// Tree count of the best model so far (0 until a metric value
+    /// Round count of the best model so far (0 until a metric value
     /// improves on [`EvalMetric::worst`]).
-    best_iter: usize,
+    best_round: usize,
     best_value: f64,
 }
 
 impl<'a> EvalState<'a> {
-    fn new(ev: &EvalSet<'a>, cfg: &TrainConfig, loss: Loss, base_score: f64) -> Self {
+    /// # Panics
+    /// Panics if a softmax eval label is not a class index in `0..K`.
+    fn new(ev: &EvalSet<'a>, cfg: &TrainConfig, base_score: f64) -> Self {
         let metric = cfg.early_stopping.map(|es| es.metric).unwrap_or_default();
+        let (data, k) = (ev.data(), cfg.objective.num_outputs());
+        let n = data.num_records();
+        if let Objective::Softmax { .. } = cfg.objective {
+            for &y in data.labels() {
+                assert!(
+                    y >= 0.0 && y.fract() == 0.0 && (y as usize) < k,
+                    "eval set: softmax label must be a class index in 0..{k}, got {y}"
+                );
+            }
+        }
         EvalState {
-            data: ev.data(),
+            data,
             metric,
             min_delta: cfg.early_stopping.map(|es| es.min_delta).unwrap_or(0.0),
-            loss,
-            margins: vec![base_score; ev.data().num_records()],
-            labels: ev.data().labels().iter().map(|&y| f64::from(y)).collect(),
-            groups: ev.data().query_groups().map(<[u32]>::to_vec),
+            objective: cfg.objective,
+            k,
+            margins: vec![base_score; n * k],
+            labels: data.labels().iter().map(|&y| f64::from(y)).collect(),
+            groups: data.query_groups().map(<[u32]>::to_vec).unwrap_or_else(|| vec![n as u32]),
             preds: Vec::new(),
             history: Vec::new(),
-            best_iter: 0,
+            best_round: 0,
             best_value: metric.worst(),
         }
     }
 
-    /// Score the newest tree into the margins and update the history and
-    /// best-iteration tracking.
-    fn score_tree(&mut self, tree: &Tree) {
-        add_eval_margins(tree, self.data, &mut self.margins);
-        let value = match self.metric {
-            // NDCG ranks the eval set by its real query groups when the
-            // dataset carries them; a monotone output transform never
-            // changes the ranking, so raw margins are scored directly.
-            EvalMetric::Ndcg { k } => {
-                let whole = [self.margins.len() as u32];
-                let groups: &[u32] = self.groups.as_deref().unwrap_or(&whole);
-                ndcg_at_k(&self.margins, &self.labels, groups, k as usize)
-            }
-            _ => {
-                self.metric.compute_reusing(self.loss, &self.margins, &self.labels, &mut self.preds)
-            }
-        };
+    /// Accumulate one new tree into margin column `slot` (the node
+    /// walk: one tree per call, so there is no ensemble to lower).
+    fn add_tree(&mut self, tree: &Tree, slot: usize) {
+        for (r, row) in self.margins.chunks_exact_mut(self.k).enumerate() {
+            row[slot] += tree.traverse_binned(self.data, r).0;
+        }
+    }
+
+    /// Score the completed round's full output vectors and update the
+    /// history and best-round tracking.
+    fn score_round(&mut self) {
+        let value = self.metric.compute_reusing(
+            &self.objective,
+            &self.margins,
+            &self.labels,
+            &self.groups,
+            &mut self.preds,
+        );
         self.history.push(value);
         if self.metric.improved(value, self.best_value, self.min_delta) {
             self.best_value = value;
-            self.best_iter = self.history.len();
+            self.best_round = self.history.len();
         }
     }
 }
 
-/// Score the newest tree against the eval set (if any) and report
-/// whether the patience budget is exhausted.
-fn eval_and_check(
-    eval_state: &mut Option<EvalState<'_>>,
-    trees: &[Tree],
-    cfg: &TrainConfig,
-) -> bool {
-    let Some(ev) = eval_state.as_mut() else { return false };
-    ev.score_tree(trees.last().expect("a tree was just pushed"));
-    match &cfg.early_stopping {
-        Some(es) => trees.len() - ev.best_iter >= es.patience,
-        None => false,
-    }
-}
-
-/// [`grow_forest`] with the validation pipeline attached: after every
-/// tree the `eval` set is scored and the metric recorded in
-/// [`TrainReport::eval_history`]. With
-/// [`TrainConfig::early_stopping`] set, training stops once the metric
-/// has not improved for `patience` trees and the model is truncated to
-/// [`TrainReport::best_iteration`].
+/// Train a model: the single engine behind [`crate::train::train`],
+/// [`crate::train::train_with`] and distributed training.
+///
+/// Runs up to `cfg.num_trees` boosting rounds of `K =
+/// cfg.objective.num_outputs()` trees each (round-major: tree `t`
+/// feeds output `t % K`), growing every tree in `cfg.growth` order and
+/// executing Steps 1, 3 and 5 on `exec`. With an `eval` set attached,
+/// every round is scored on it and the metric recorded in
+/// [`TrainReport::eval_history`]; with [`TrainConfig::early_stopping`]
+/// set, training stops once the metric has not improved for `patience`
+/// rounds and the model is truncated to
+/// [`TrainReport::best_iteration`] trees, a round boundary.
 ///
 /// # Panics
-/// Additionally panics if `cfg.early_stopping` is set without an eval
-/// set, or if the eval set's field arity differs from the training
-/// set's.
+/// Panics with a descriptive message if `cfg` fails
+/// [`TrainConfig::validate`], `data` is empty, `cfg.early_stopping` is
+/// set without an eval set, the eval set's field arity differs from the
+/// training set's, a softmax label (training or eval) is not a class
+/// index, or LambdaRank trains without query groups.
 pub fn grow_forest_with_eval(
     data: &BinnedDataset,
     columnar: &ColumnarMirror,
@@ -226,7 +371,7 @@ pub fn grow_forest_with_eval(
     assert!(data.num_records() > 0, "cannot train on an empty dataset");
     assert!(
         cfg.early_stopping.is_none() || eval.is_some(),
-        "early_stopping requires an evaluation set (train_with_eval / grow_forest_with_eval)"
+        "early_stopping requires an evaluation set (grow_forest_with_eval)"
     );
     if let Some(ev) = eval {
         assert_eq!(
@@ -236,132 +381,94 @@ pub fn grow_forest_with_eval(
         );
     }
     debug_assert!(columnar.is_consistent_with(data), "columnar mirror out of sync");
-    // Objectives whose per-record gradients decouple lower to a scalar
-    // loss and run the original one-output loop bit-for-bit; the
-    // coupled objectives get dedicated loops over the same per-tree
-    // engine.
-    match cfg.objective.scalar_loss() {
-        Some(loss) => grow_scalar(data, columnar, cfg, loss, exec, eval),
-        None => match cfg.objective {
-            Objective::Softmax { num_class } => {
-                grow_softmax(data, columnar, cfg, num_class as usize, exec, eval)
-            }
-            Objective::LambdaRank => grow_lambdarank(data, columnar, cfg, exec, eval),
-            _ => unreachable!("scalar objectives lower to a Loss"),
-        },
-    }
-}
-
-/// The original one-output training loop: margins and gradients are
-/// scalar per record, and every boosting round grows exactly one tree.
-/// This path is bit-identical to the engine before the multi-output
-/// [`Objective`] layer existed.
-fn grow_scalar(
-    data: &BinnedDataset,
-    columnar: &ColumnarMirror,
-    cfg: &TrainConfig,
-    loss: Loss,
-    exec: &dyn StepExecutor,
-    eval: Option<&EvalSet<'_>>,
-) -> (Model, TrainReport) {
     let n = data.num_records();
-    let labels = data.labels();
+    let k = cfg.objective.num_outputs();
     // One seeded stream for every sampling decision, owned here —
     // outside the executor — so sequential and parallel backends draw
-    // identical masks (the bit-identity invariant).
+    // identical masks (the bit-identity invariant). Every tree draws
+    // its own row sample and field mask, in slot order.
     let mut sampler = SampleStream::new(cfg.seed);
 
+    let mut times = StepTimes::default();
     let t_init = Instant::now();
-    let label_mean = labels.iter().map(|&y| f64::from(y)).sum::<f64>() / n as f64;
-    let base_score = loss.base_score(label_mean);
-    let mut margins = vec![base_score; n];
-    let mut grads: Vec<GradPair> = Vec::with_capacity(n);
-    let mut loss_sum = 0.0f64;
-    for r in 0..n {
-        let (gp, lv) = loss.grad_value(margins[r], f64::from(labels[r]));
-        grads.push(gp);
-        loss_sum += lv;
-    }
-    let mut prev_loss = loss_sum / n as f64;
-
-    let init_elapsed = t_init.elapsed();
-    crate::telemetry::phase("train_init", t_init, init_elapsed);
-    let mut times = StepTimes { other: init_elapsed, ..Default::default() };
+    let (mut boost, mut prev_loss) = Boost::new(cfg.objective, data);
+    lap("train_init", t_init, &mut times.other);
     let mut work = WorkCounters::default();
     let mut tree_logs: Vec<TreePhases> = Vec::new();
     let mut loss_history = Vec::with_capacity(cfg.num_trees);
-    let mut trees: Vec<Tree> = Vec::with_capacity(cfg.num_trees);
-    let mut eval_state: Option<EvalState<'_>> =
-        eval.map(|ev| EvalState::new(ev, cfg, loss, base_score));
+    let mut trees: Vec<Tree> = Vec::with_capacity(cfg.num_trees * k);
+    let mut eval_state = eval.map(|ev| EvalState::new(ev, cfg, boost.base_score));
 
     // Histogram allocations are recycled across vertices and trees: the
     // pool's peak size is the widest frontier ever reached, not the
     // vertex count.
     let mut pool = HistogramPool::new();
 
-    for _tree_idx in 0..cfg.num_trees {
-        // Stochastic GB: sample the records this tree sees.
-        let root_rows = sampler.draw_rows(n, cfg.subsample);
-        if root_rows.is_empty() {
-            // A pathological subsample of a tiny dataset: skip this tree.
-            loss_history.push(prev_loss);
-            trees.push(Tree::leaf(0.0));
-            if eval_and_check(&mut eval_state, &trees, cfg) {
-                break;
+    for _round in 0..cfg.num_trees {
+        let mut grew = false;
+        for slot in 0..k {
+            // Stochastic GB: sample the records this tree sees.
+            let root_rows = sampler.draw_rows(n, cfg.subsample);
+            if root_rows.is_empty() {
+                // A pathological subsample of a tiny dataset: a
+                // weight-0 leaf keeps the round-major layout intact.
+                trees.push(Tree::leaf(0.0));
+                continue;
             }
-            continue;
+            grew = true;
+            // Column sampling: restrict this tree's candidate fields.
+            let field_mask = sampler.draw_field_mask(data.num_fields(), cfg.colsample_bytree);
+
+            // ---- Grow one tree (Steps 1-4) through the shared engine. ----
+            let (tree, phases) = grow_single_tree(
+                data,
+                columnar,
+                cfg,
+                exec,
+                &mut sampler,
+                &mut pool,
+                boost.slot_grads(slot),
+                root_rows,
+                field_mask.as_deref(),
+                &mut times,
+                &mut work,
+            );
+
+            // ---- Step 5: one-tree traversal and margin update. ----
+            let t5 = Instant::now();
+            let sum_path = boost.step5(exec, data, &tree, slot);
+            lap("step5_traverse", t5, &mut times.step5);
+            work.step5_records += n as u64;
+            work.step5_lookups += sum_path;
+
+            if cfg.collect_phases {
+                tree_logs.push(TreePhases {
+                    nodes: phases,
+                    traversal: TraversalPhase {
+                        n_records: n,
+                        fields_used: tree.fields_used().len(),
+                        sum_path_len: sum_path,
+                        max_depth: tree.depth(),
+                    },
+                });
+            }
+            if let Some(ev) = eval_state.as_mut() {
+                ev.add_tree(&tree, slot);
+            }
+            trees.push(tree);
         }
-        // Column sampling: restrict this tree's candidate fields.
-        let field_mask = sampler.draw_field_mask(data.num_fields(), cfg.colsample_bytree);
 
-        // ---- Grow one tree (Steps 1-4) through the shared engine. ----
-        let (tree, phases) = grow_single_tree(
-            data,
-            columnar,
-            cfg,
-            exec,
-            &mut sampler,
-            &mut pool,
-            &grads,
-            root_rows,
-            field_mask.as_deref(),
-            &mut times,
-            &mut work,
-        );
-
-        // ---- Step 5: one-tree traversal, gradient + loss update. ----
-        let t5 = Instant::now();
-        let (sum_path, total_loss) =
-            exec.traverse_update(data, &tree, loss, labels, &mut margins, &mut grads);
-        let el5 = t5.elapsed();
-        crate::telemetry::phase("step5_traverse", t5, el5);
-        times.step5 += el5;
-        work.step5_records += n as u64;
-        work.step5_lookups += sum_path;
-
-        if cfg.collect_phases {
-            tree_logs.push(TreePhases {
-                nodes: phases,
-                traversal: TraversalPhase {
-                    n_records: n,
-                    fields_used: tree.fields_used().len(),
-                    sum_path_len: sum_path,
-                    max_depth: tree.depth(),
-                },
-            });
-        }
-
-        let mean_loss = total_loss / n as f64;
+        // ---- Round boundary: training loss, validation, stopping. ----
+        let mean_loss = if grew { boost.end_round(&mut times) } else { prev_loss };
         loss_history.push(mean_loss);
-        trees.push(tree);
-
-        // ---- Validation pipeline: score the eval set incrementally. ----
-        let patience_exhausted = eval_and_check(&mut eval_state, &trees, cfg);
-
-        if let Some(min_dec) = cfg.min_loss_decrease {
-            if prev_loss - mean_loss < min_dec {
-                break;
-            }
+        let patience_exhausted = eval_state.as_mut().is_some_and(|ev| {
+            ev.score_round();
+            cfg.early_stopping.is_some_and(|es| ev.history.len() - ev.best_round >= es.patience)
+        });
+        // A round whose every row draw came up empty grew no tree; its
+        // unchanged loss never stops training by itself.
+        if grew && cfg.min_loss_decrease.is_some_and(|min_dec| prev_loss - mean_loss < min_dec) {
+            break;
         }
         prev_loss = mean_loss;
         if patience_exhausted {
@@ -370,11 +477,11 @@ fn grow_scalar(
     }
 
     // Record the best iteration and, under early stopping, trim the
-    // model back to it (trees are prefix-stable: stopping later never
-    // changes earlier trees).
+    // model back to it — a round boundary (trees are prefix-stable:
+    // stopping later never changes earlier trees).
     let (eval_history, best_iteration) = match eval_state {
         Some(ev) => {
-            let best = ev.best_iter.max(1);
+            let best = ev.best_round.max(1) * k;
             if cfg.early_stopping.is_some() {
                 trees.truncate(best);
             }
@@ -385,9 +492,9 @@ fn grow_scalar(
 
     let model = Model {
         trees,
-        base_score,
+        base_score: boost.base_score,
         objective: cfg.objective,
-        num_outputs: 1,
+        num_outputs: k as u32,
         schema: data.schema().clone(),
         binnings: data.binnings().to_vec(),
     };
@@ -452,443 +559,6 @@ fn grow_single_tree(
     let (nodes, phases) = grower.finish();
     (Tree::new(nodes), phases)
 }
-
-/// Validation state for softmax training: a row-major `n x k` margin
-/// matrix over the eval set, scored once per boosting round.
-struct MultiEvalState<'a> {
-    data: &'a BinnedDataset,
-    metric: EvalMetric,
-    min_delta: f64,
-    k: usize,
-    /// Row-major `n_eval x k`.
-    margins: Vec<f64>,
-    labels: Vec<f64>,
-    history: Vec<f64>,
-    /// Round count of the best model so far.
-    best_round: usize,
-    best_value: f64,
-}
-
-impl<'a> MultiEvalState<'a> {
-    fn new(ev: &EvalSet<'a>, cfg: &TrainConfig, k: usize) -> Self {
-        let metric = cfg.early_stopping.map(|es| es.metric).unwrap_or_default();
-        MultiEvalState {
-            data: ev.data(),
-            metric,
-            min_delta: cfg.early_stopping.map(|es| es.min_delta).unwrap_or(0.0),
-            k,
-            margins: vec![0.0; ev.data().num_records() * k],
-            labels: ev.data().labels().iter().map(|&y| f64::from(y)).collect(),
-            history: Vec::new(),
-            best_round: 0,
-            best_value: metric.worst(),
-        }
-    }
-
-    /// Accumulate one class tree's margins into column `class` of the
-    /// eval margin matrix.
-    fn add_tree(&mut self, tree: &Tree, class: usize) {
-        for (r, row) in self.margins.chunks_mut(self.k).enumerate() {
-            row[class] += tree.traverse_binned(self.data, r).0;
-        }
-    }
-
-    /// Score the completed round's full output vector and update the
-    /// history and best-round tracking.
-    fn score_round(&mut self) {
-        let value = match self.metric {
-            EvalMetric::Loss | EvalMetric::MultiLogloss => {
-                multi_logloss(&self.margins, &self.labels, self.k)
-            }
-            EvalMetric::Accuracy => multiclass_accuracy(&self.margins, &self.labels, self.k),
-            m => panic!("eval metric {} is not defined for softmax models", m.name()),
-        };
-        self.history.push(value);
-        if self.metric.improved(value, self.best_value, self.min_delta) {
-            self.best_value = value;
-            self.best_round = self.history.len();
-        }
-    }
-}
-
-/// The softmax multiclass training loop: every boosting round grows K
-/// trees (one per class, round-major) against a row-major `n x k`
-/// gradient matrix refreshed once per round — each class tree of a
-/// round sees the margins as they stood when the round started, the
-/// standard per-class-tree semantics of multiclass GBDT.
-fn grow_softmax(
-    data: &BinnedDataset,
-    columnar: &ColumnarMirror,
-    cfg: &TrainConfig,
-    k: usize,
-    exec: &dyn StepExecutor,
-    eval: Option<&EvalSet<'_>>,
-) -> (Model, TrainReport) {
-    let n = data.num_records();
-    let labels = data.labels();
-    let mut sampler = SampleStream::new(cfg.seed);
-
-    let t_init = Instant::now();
-    // Multiclass margins start at zero for every class; the label
-    // distribution is learned by the first round's trees.
-    let base_score = 0.0;
-    let mut margins = vec![0.0f64; n * k];
-    let mut grads = vec![GradPair::zero(); n * k];
-    let mut prev_loss = softmax_grad_refresh(&margins, labels, k, &mut grads);
-
-    let init_elapsed = t_init.elapsed();
-    crate::telemetry::phase("train_init", t_init, init_elapsed);
-    let mut times = StepTimes { other: init_elapsed, ..Default::default() };
-    let mut work = WorkCounters::default();
-    let mut tree_logs: Vec<TreePhases> = Vec::new();
-    let mut loss_history = Vec::with_capacity(cfg.num_trees);
-    let mut trees: Vec<Tree> = Vec::with_capacity(cfg.num_trees * k);
-    let mut eval_state: Option<MultiEvalState<'_>> = eval.map(|ev| MultiEvalState::new(ev, cfg, k));
-    let mut pool = HistogramPool::new();
-    let mut class_grads: Vec<GradPair> = Vec::with_capacity(n);
-
-    for _round in 0..cfg.num_trees {
-        for class in 0..k {
-            // Stochastic GB: each class tree draws its own row sample
-            // and field mask, advancing the one stream deterministically.
-            let root_rows = sampler.draw_rows(n, cfg.subsample);
-            if root_rows.is_empty() {
-                // A pathological subsample of a tiny dataset: a weight-0
-                // leaf keeps the round-major layout intact.
-                trees.push(Tree::leaf(0.0));
-                continue;
-            }
-            let field_mask = sampler.draw_field_mask(data.num_fields(), cfg.colsample_bytree);
-
-            // Gather this class's gradient column contiguously so the
-            // engine's kernels stream it like a scalar run.
-            class_grads.clear();
-            class_grads.extend((0..n).map(|r| grads[r * k + class]));
-            let (tree, phases) = grow_single_tree(
-                data,
-                columnar,
-                cfg,
-                exec,
-                &mut sampler,
-                &mut pool,
-                &class_grads,
-                root_rows,
-                field_mask.as_deref(),
-                &mut times,
-                &mut work,
-            );
-
-            // ---- Step 5: update this class's margin column. Gradients
-            // refresh at the round boundary, not here. ----
-            let t5 = Instant::now();
-            let mut sum_path = 0u64;
-            for r in 0..n {
-                let (w, path) = tree.traverse_binned(data, r);
-                margins[r * k + class] += w;
-                sum_path += u64::from(path);
-            }
-            let el5 = t5.elapsed();
-            crate::telemetry::phase("step5_traverse", t5, el5);
-            times.step5 += el5;
-            work.step5_records += n as u64;
-            work.step5_lookups += sum_path;
-
-            if cfg.collect_phases {
-                tree_logs.push(TreePhases {
-                    nodes: phases,
-                    traversal: TraversalPhase {
-                        n_records: n,
-                        fields_used: tree.fields_used().len(),
-                        sum_path_len: sum_path,
-                        max_depth: tree.depth(),
-                    },
-                });
-            }
-            if let Some(ev) = eval_state.as_mut() {
-                ev.add_tree(&tree, class);
-            }
-            trees.push(tree);
-        }
-
-        // ---- Round boundary: refresh the full gradient matrix and
-        // record the training loss after this round's K trees. ----
-        let t5 = Instant::now();
-        let mean_loss = softmax_grad_refresh(&margins, labels, k, &mut grads);
-        let el5 = t5.elapsed();
-        crate::telemetry::phase("step5_refresh", t5, el5);
-        times.step5 += el5;
-        loss_history.push(mean_loss);
-
-        let patience_exhausted = match eval_state.as_mut() {
-            Some(ev) => {
-                ev.score_round();
-                match &cfg.early_stopping {
-                    Some(es) => loss_history.len() - ev.best_round >= es.patience,
-                    None => false,
-                }
-            }
-            None => false,
-        };
-        if let Some(min_dec) = cfg.min_loss_decrease {
-            if prev_loss - mean_loss < min_dec {
-                break;
-            }
-        }
-        prev_loss = mean_loss;
-        if patience_exhausted {
-            break;
-        }
-    }
-
-    // Early stopping truncates at a round boundary: the best round's
-    // model keeps exactly `best_round * k` round-major trees.
-    let (eval_history, best_iteration) = match eval_state {
-        Some(ev) => {
-            let best_round = ev.best_round.max(1);
-            if cfg.early_stopping.is_some() {
-                trees.truncate(best_round * k);
-            }
-            (Some(ev.history), Some(best_round * k))
-        }
-        None => (None, None),
-    };
-
-    let model = Model {
-        trees,
-        base_score,
-        objective: cfg.objective,
-        num_outputs: k as u32,
-        schema: data.schema().clone(),
-        binnings: data.binnings().to_vec(),
-    };
-    let phase_log = cfg.collect_phases.then(|| PhaseLog {
-        trees: tree_logs,
-        num_records: n,
-        num_fields: data.num_fields(),
-        record_bytes: data.record_bytes(),
-        total_bins: data.total_bins(),
-        field_entry_bytes: (0..data.num_fields())
-            .map(|f| data.binnings()[f].encoded_bytes())
-            .collect(),
-        field_bins: (0..data.num_fields()).map(|f| data.field_bins(f)).collect(),
-    });
-    crate::telemetry::train_finished(&times, &work);
-    (model, TrainReport { times, work, phase_log, loss_history, eval_history, best_iteration })
-}
-
-/// The LambdaRank training loop: one output, but gradients couple all
-/// records of a query group — every boosting round recomputes pairwise
-/// λ-gradients from the current margins before growing its tree.
-fn grow_lambdarank(
-    data: &BinnedDataset,
-    columnar: &ColumnarMirror,
-    cfg: &TrainConfig,
-    exec: &dyn StepExecutor,
-    eval: Option<&EvalSet<'_>>,
-) -> (Model, TrainReport) {
-    let n = data.num_records();
-    let labels = data.labels();
-    let groups: Vec<u32> = data
-        .query_groups()
-        .expect(
-            "LambdaRank requires query groups on the training set \
-             (BinnedDataset::set_query_groups)",
-        )
-        .to_vec();
-    let mut sampler = SampleStream::new(cfg.seed);
-
-    let t_init = Instant::now();
-    // Ranking scores are relative; start every document at zero.
-    let base_score = 0.0;
-    let mut margins = vec![0.0f64; n];
-    let mut grads = vec![GradPair::zero(); n];
-    let mut prev_loss = lambdarank_grad_refresh(&margins, labels, &groups, &mut grads);
-
-    let init_elapsed = t_init.elapsed();
-    crate::telemetry::phase("train_init", t_init, init_elapsed);
-    let mut times = StepTimes { other: init_elapsed, ..Default::default() };
-    let mut work = WorkCounters::default();
-    let mut tree_logs: Vec<TreePhases> = Vec::new();
-    let mut loss_history = Vec::with_capacity(cfg.num_trees);
-    let mut trees: Vec<Tree> = Vec::with_capacity(cfg.num_trees);
-    let mut eval_state: Option<RankEvalState<'_>> = eval.map(|ev| RankEvalState::new(ev, cfg));
-    let mut pool = HistogramPool::new();
-
-    for _round in 0..cfg.num_trees {
-        let root_rows = sampler.draw_rows(n, cfg.subsample);
-        if root_rows.is_empty() {
-            loss_history.push(prev_loss);
-            trees.push(Tree::leaf(0.0));
-            if rank_eval_and_check(&mut eval_state, &trees, cfg) {
-                break;
-            }
-            continue;
-        }
-        let field_mask = sampler.draw_field_mask(data.num_fields(), cfg.colsample_bytree);
-        let (tree, phases) = grow_single_tree(
-            data,
-            columnar,
-            cfg,
-            exec,
-            &mut sampler,
-            &mut pool,
-            &grads,
-            root_rows,
-            field_mask.as_deref(),
-            &mut times,
-            &mut work,
-        );
-
-        // ---- Step 5: margin update, then the per-group λ-gradient
-        // refresh against the new ranking. ----
-        let t5 = Instant::now();
-        let mut sum_path = 0u64;
-        for (r, m) in margins.iter_mut().enumerate() {
-            let (w, path) = tree.traverse_binned(data, r);
-            *m += w;
-            sum_path += u64::from(path);
-        }
-        let mean_loss = lambdarank_grad_refresh(&margins, labels, &groups, &mut grads);
-        let el5 = t5.elapsed();
-        crate::telemetry::phase("step5_refresh", t5, el5);
-        times.step5 += el5;
-        work.step5_records += n as u64;
-        work.step5_lookups += sum_path;
-
-        if cfg.collect_phases {
-            tree_logs.push(TreePhases {
-                nodes: phases,
-                traversal: TraversalPhase {
-                    n_records: n,
-                    fields_used: tree.fields_used().len(),
-                    sum_path_len: sum_path,
-                    max_depth: tree.depth(),
-                },
-            });
-        }
-        loss_history.push(mean_loss);
-        trees.push(tree);
-
-        let patience_exhausted = rank_eval_and_check(&mut eval_state, &trees, cfg);
-        if let Some(min_dec) = cfg.min_loss_decrease {
-            if prev_loss - mean_loss < min_dec {
-                break;
-            }
-        }
-        prev_loss = mean_loss;
-        if patience_exhausted {
-            break;
-        }
-    }
-
-    let (eval_history, best_iteration) = match eval_state {
-        Some(ev) => {
-            let best = ev.best_iter.max(1);
-            if cfg.early_stopping.is_some() {
-                trees.truncate(best);
-            }
-            (Some(ev.history), Some(best))
-        }
-        None => (None, None),
-    };
-
-    let model = Model {
-        trees,
-        base_score,
-        objective: cfg.objective,
-        num_outputs: 1,
-        schema: data.schema().clone(),
-        binnings: data.binnings().to_vec(),
-    };
-    let phase_log = cfg.collect_phases.then(|| PhaseLog {
-        trees: tree_logs,
-        num_records: n,
-        num_fields: data.num_fields(),
-        record_bytes: data.record_bytes(),
-        total_bins: data.total_bins(),
-        field_entry_bytes: (0..data.num_fields())
-            .map(|f| data.binnings()[f].encoded_bytes())
-            .collect(),
-        field_bins: (0..data.num_fields()).map(|f| data.field_bins(f)).collect(),
-    });
-    crate::telemetry::train_finished(&times, &work);
-    (model, TrainReport { times, work, phase_log, loss_history, eval_history, best_iteration })
-}
-
-/// Validation state for LambdaRank: scalar margins scored by NDCG over
-/// the eval set's query groups (or the |ΔNDCG|-weighted surrogate loss
-/// for [`EvalMetric::Loss`]).
-struct RankEvalState<'a> {
-    data: &'a BinnedDataset,
-    metric: EvalMetric,
-    min_delta: f64,
-    margins: Vec<f64>,
-    labels: Vec<f64>,
-    groups: Vec<u32>,
-    /// Scratch gradient pairs for the surrogate-loss evaluation.
-    grads_scratch: Vec<GradPair>,
-    history: Vec<f64>,
-    best_iter: usize,
-    best_value: f64,
-}
-
-impl<'a> RankEvalState<'a> {
-    fn new(ev: &EvalSet<'a>, cfg: &TrainConfig) -> Self {
-        let metric = cfg.early_stopping.map(|es| es.metric).unwrap_or_default();
-        let n = ev.data().num_records();
-        // An eval set without groups ranks as one whole-set query.
-        let groups =
-            ev.data().query_groups().map(<[u32]>::to_vec).unwrap_or_else(|| vec![n as u32]);
-        RankEvalState {
-            data: ev.data(),
-            metric,
-            min_delta: cfg.early_stopping.map(|es| es.min_delta).unwrap_or(0.0),
-            margins: vec![0.0; n],
-            labels: ev.data().labels().iter().map(|&y| f64::from(y)).collect(),
-            groups,
-            grads_scratch: vec![GradPair::zero(); n],
-            history: Vec::new(),
-            best_iter: 0,
-            best_value: metric.worst(),
-        }
-    }
-
-    fn score_tree(&mut self, tree: &Tree) {
-        add_eval_margins(tree, self.data, &mut self.margins);
-        let value = match self.metric {
-            EvalMetric::Ndcg { k } => {
-                ndcg_at_k(&self.margins, &self.labels, &self.groups, k as usize)
-            }
-            EvalMetric::Loss => lambdarank_grad_refresh(
-                &self.margins,
-                self.data.labels(),
-                &self.groups,
-                &mut self.grads_scratch,
-            ),
-            m => panic!("eval metric {} is not defined for LambdaRank models", m.name()),
-        };
-        self.history.push(value);
-        if self.metric.improved(value, self.best_value, self.min_delta) {
-            self.best_value = value;
-            self.best_iter = self.history.len();
-        }
-    }
-}
-
-/// [`RankEvalState`] analogue of `eval_and_check`.
-fn rank_eval_and_check(
-    eval_state: &mut Option<RankEvalState<'_>>,
-    trees: &[Tree],
-    cfg: &TrainConfig,
-) -> bool {
-    let Some(ev) = eval_state.as_mut() else { return false };
-    ev.score_tree(trees.last().expect("a tree was just pushed"));
-    match &cfg.early_stopping {
-        Some(es) => trees.len() - ev.best_iter >= es.patience,
-        None => false,
-    }
-}
-
 /// A split-ready frontier vertex: its relevant records, its histogram,
 /// and the best split already found for it (vertices with no valid
 /// split never enter the frontier — they are finalized as leaves on
@@ -987,9 +657,7 @@ impl TreeGrower<'_> {
         let t1 = Instant::now();
         let mut hist = self.pool.acquire(self.data);
         let updates = self.exec.bin_records(self.data, self.columnar, &rows, self.grads, &mut hist);
-        let el1 = t1.elapsed();
-        crate::telemetry::phase("step1_build_hist", t1, el1);
-        self.times.step1 += el1;
+        lap("step1_build_hist", t1, &mut self.times.step1);
         self.work.step1_records += rows.len() as u64;
         self.work.step1_updates += updates;
 
@@ -1051,9 +719,7 @@ impl TreeGrower<'_> {
             let mask = node_mask.as_deref().or(self.field_mask);
             let t2 = Instant::now();
             let (s, bins) = find_best_split(&hist, self.data.binnings(), &self.cfg.split, mask);
-            let el2 = t2.elapsed();
-            crate::telemetry::phase("step2_split_scan", t2, el2);
-            self.times.step2 += el2;
+            lap("step2_split_scan", t2, &mut self.times.step2);
             self.work.step2_scans += 1;
             self.work.step2_bins += bins;
             if self.dense() {
@@ -1111,9 +777,7 @@ impl TreeGrower<'_> {
         let absent = self.data.binnings()[field].absent_bin();
         let (lrows, rrows) =
             self.exec.partition(&rows, column, field, split.rule, split.default_left, absent);
-        let el3 = t3.elapsed();
-        crate::telemetry::phase("step3_partition", t3, el3);
-        self.times.step3 += el3;
+        lap("step3_partition", t3, &mut self.times.step3);
         self.work.step3_records += rows.len() as u64;
 
         if self.collect() {
@@ -1165,9 +829,7 @@ impl TreeGrower<'_> {
             self.exec.bin_records(self.data, self.columnar, srows, self.grads, &mut small_hist);
         let mut big_hist = self.pool.acquire(self.data);
         NodeHistogram::subtract_from_into(&hist, &small_hist, &mut big_hist);
-        let el1 = t1.elapsed();
-        crate::telemetry::phase("step1_build_hist", t1, el1);
-        self.times.step1 += el1;
+        lap("step1_build_hist", t1, &mut self.times.step1);
         self.work.step1_records += srows.len() as u64;
         self.work.step1_updates += updates;
         if let Some(agg) = level {
@@ -1308,7 +970,7 @@ fn empty_bin_phase(depth: u32, n_reaching: usize) -> BinPhase {
 mod tests {
     use super::*;
     use crate::dataset::{Dataset, RawValue};
-    use crate::metrics;
+    use crate::metrics::{self, multiclass_accuracy, ndcg_at_k};
     use crate::schema::{DatasetSchema, FieldSchema};
     use crate::train::{train, EarlyStopping, SequentialExec};
 
@@ -1480,6 +1142,87 @@ mod tests {
         let cfg =
             TrainConfig { num_trees: 2, objective: Objective::LambdaRank, ..Default::default() };
         let _ = train(&data, &mirror, &cfg);
+    }
+
+    /// An eval metric that is undefined for the objective is a config
+    /// error raised before the first tree, not a panic after it.
+    #[test]
+    #[should_panic(expected = "early_stopping.metric: auc is not defined for softmax models")]
+    fn undefined_metric_objective_pair_fails_before_the_first_tree() {
+        let data = multiclass_dataset(60);
+        let mirror = ColumnarMirror::from_binned(&data);
+        let cfg = TrainConfig {
+            num_trees: 2,
+            objective: Objective::Softmax { num_class: 3 },
+            early_stopping: Some(EarlyStopping { metric: EvalMetric::Auc, ..Default::default() }),
+            ..Default::default()
+        };
+        let eval = EvalSet::new(&data);
+        let _ = grow_forest_with_eval(&data, &mirror, &cfg, &SequentialExec, Some(&eval));
+    }
+
+    /// Softmax eval labels are checked when the set is attached. Argmax
+    /// accuracy never looks a label up, so without the check a stray
+    /// class index would score silently.
+    #[test]
+    #[should_panic(expected = "eval set: softmax label must be a class index in 0..2, got 2")]
+    fn softmax_eval_labels_are_checked_when_the_set_is_attached() {
+        // Two-class training labels, three-class eval labels.
+        let eval_data = multiclass_dataset(60);
+        let mut two_class = Dataset::new(eval_data.schema().clone());
+        for i in 0..40 {
+            two_class.push_record(&[RawValue::Num(i as f32), RawValue::Num(1.0)], (i % 2) as f32);
+        }
+        let data = BinnedDataset::from_dataset(&two_class);
+        let mirror = ColumnarMirror::from_binned(&data);
+        let cfg = TrainConfig {
+            num_trees: 2,
+            objective: Objective::Softmax { num_class: 2 },
+            early_stopping: Some(EarlyStopping {
+                metric: EvalMetric::Accuracy,
+                ..Default::default()
+            }),
+            ..Default::default()
+        };
+        let eval = EvalSet::new(&eval_data);
+        let _ = grow_forest_with_eval(&data, &mirror, &cfg, &SequentialExec, Some(&eval));
+    }
+
+    /// Query groups can only reach an eval set through
+    /// `set_query_groups`, which rejects sizes that do not tile it — so
+    /// NDCG scoring never meets a mis-tiled set mid-training.
+    #[test]
+    #[should_panic(expected = "query groups must tile the dataset")]
+    fn eval_query_groups_must_tile_when_attached() {
+        let mut eval_data = ranking_dataset(2);
+        eval_data.set_query_groups(vec![12, 11]);
+    }
+
+    /// One rule for every objective kind: a round whose row draws all
+    /// came up empty pushes weight-0 leaves, repeats the previous loss,
+    /// and never trips `min_loss_decrease` by itself.
+    #[test]
+    fn a_round_of_empty_row_draws_never_stops_training() {
+        let mut data = multiclass_dataset(3);
+        data.set_query_groups(vec![3]);
+        let mirror = ColumnarMirror::from_binned(&data);
+        for objective in
+            [Objective::SquaredError, Objective::Softmax { num_class: 3 }, Objective::LambdaRank]
+        {
+            let cfg = TrainConfig {
+                num_trees: 4,
+                objective,
+                subsample: 1e-12,
+                min_loss_decrease: Some(1e-6),
+                ..Default::default()
+            };
+            let (model, report) = train(&data, &mirror, &cfg);
+            let name = objective.name();
+            assert_eq!(report.loss_history.len(), 4, "{name}: every round must run");
+            assert!(report.loss_history.windows(2).all(|w| w[0].to_bits() == w[1].to_bits()));
+            assert_eq!(model.trees.len(), 4 * objective.num_outputs(), "{name}");
+            assert!(model.trees.iter().all(|t| *t == Tree::leaf(0.0)), "{name}");
+        }
     }
 
     #[test]

@@ -116,8 +116,8 @@ pub mod prelude {
     pub use crate::serialize::{model_from_bytes, model_to_bytes};
     pub use crate::split::SplitParams;
     pub use crate::train::{
-        train, train_with, train_with_eval, EarlyStopping, EvalSet, SequentialExec, StepExecutor,
-        TrainConfig, TrainReport,
+        train, train_with, EarlyStopping, EvalSet, SequentialExec, StepExecutor, TrainConfig,
+        TrainReport,
     };
     pub use crate::tree::{TableLoweringError, Tree, TreeTable};
 }

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::gradients::Loss;
+use crate::gradients::{lambdarank_grad_refresh, GradPair, Loss, Objective};
 
 /// Which metric the early-stopping pipeline tracks on the held-out
 /// evaluation set after each tree.
@@ -84,63 +84,120 @@ impl EvalMetric {
         }
     }
 
-    /// Score a set of raw margins against labels: the objective-`loss`
-    /// mean for [`EvalMetric::Loss`], otherwise the metric over the
-    /// loss-transformed predictions.
-    pub fn compute(&self, loss: Loss, margins: &[f64], labels: &[f32]) -> f64 {
-        let labels64: Vec<f64> = labels.iter().map(|&y| f64::from(y)).collect();
-        self.compute_reusing(loss, margins, &labels64, &mut Vec::new())
+    /// How this metric reads a model trained with `objective` — the one
+    /// metric x objective table. `None` means the pair is undefined:
+    /// [`TrainConfig::validate`](crate::train::TrainConfig::validate)
+    /// rejects it before training and [`Self::compute_reusing`] refuses
+    /// to score it.
+    fn reading(&self, objective: &Objective) -> Option<Reading> {
+        Some(match (objective, self) {
+            (Objective::Softmax { .. }, EvalMetric::Loss | EvalMetric::MultiLogloss) => {
+                Reading::MultiLogloss
+            }
+            (Objective::Softmax { .. }, EvalMetric::Accuracy) => Reading::MultiAccuracy,
+            (Objective::Softmax { .. }, _) => return None,
+            (Objective::LambdaRank, EvalMetric::Loss) => Reading::RankLoss,
+            // A monotone output transform never changes a ranking, so
+            // NDCG scores raw margins for every single-output objective.
+            (_, EvalMetric::Ndcg { k }) => Reading::Ndcg { k: *k as usize },
+            (Objective::LambdaRank, _) => return None,
+            (scalar, _) => Reading::Scalar(scalar.scalar_loss()?),
+        })
     }
 
-    /// As [`EvalMetric::compute`], with the labels preconverted to
-    /// `f64` and a reusable scratch buffer for the transformed
-    /// predictions — the shape the per-tree eval loop calls once per
-    /// tree without reallocating.
+    /// Whether this metric is defined for models trained with
+    /// `objective`: every metric has a scalar-loss reading, softmax
+    /// models score by loss / multi-logloss / accuracy, and LambdaRank
+    /// models by loss / NDCG.
+    pub fn is_defined_for(&self, objective: &Objective) -> bool {
+        self.reading(objective).is_some()
+    }
+
+    /// Score the raw margins of a scalar-`loss` model against labels,
+    /// the whole set ranking as one query: the convenience form of
+    /// [`EvalMetric::compute_reusing`].
+    pub fn compute(&self, loss: Loss, margins: &[f64], labels: &[f32]) -> f64 {
+        let labels64: Vec<f64> = labels.iter().map(|&y| f64::from(y)).collect();
+        let group = [margins.len() as u32];
+        self.compute_reusing(&loss.into(), margins, &labels64, &group, &mut Vec::new())
+    }
+
+    /// Score row-major `n x K` raw margins of a model trained with
+    /// `objective` (`K = objective.num_outputs()`): the objective's
+    /// mean loss for [`EvalMetric::Loss`], otherwise the metric over
+    /// the link-transformed predictions. Labels are preconverted to
+    /// `f64`, `groups` are the query-group sizes tiling the records,
+    /// and `preds_scratch` is a reusable buffer for the transformed
+    /// predictions — the shape the per-round eval loop calls without
+    /// reallocating.
+    ///
+    /// # Panics
+    /// Panics if the metric is not defined for `objective`
+    /// ([`EvalMetric::is_defined_for`]).
     pub fn compute_reusing(
         &self,
-        loss: Loss,
+        objective: &Objective,
         margins: &[f64],
         labels: &[f64],
+        groups: &[u32],
         preds_scratch: &mut Vec<f64>,
     ) -> f64 {
-        assert_eq!(margins.len(), labels.len());
+        let k = objective.num_outputs();
+        assert_eq!(margins.len(), labels.len() * k);
         assert!(!margins.is_empty(), "cannot evaluate an empty set");
+        let Some(reading) = self.reading(objective) else {
+            panic!("eval metric {} is not defined for {} models", self.name(), objective.name())
+        };
+        let loss = match reading {
+            Reading::Scalar(loss) => loss,
+            Reading::MultiLogloss => return multi_logloss(margins, labels, k),
+            Reading::MultiAccuracy => return multiclass_accuracy(margins, labels, k),
+            Reading::Ndcg { k } => return ndcg_at_k(margins, labels, groups, k),
+            Reading::RankLoss => {
+                // Labels were widened from `f32`, so narrowing is exact.
+                let labels: Vec<f32> = labels.iter().map(|&y| y as f32).collect();
+                let mut grads = vec![GradPair::zero(); margins.len()];
+                return lambdarank_grad_refresh(margins, &labels, groups, &mut grads);
+            }
+        };
+        if *self == EvalMetric::Loss {
+            return margins.iter().zip(labels).map(|(&m, &y)| loss.value(m, y)).sum::<f64>()
+                / margins.len() as f64;
+        }
+        preds_scratch.clear();
+        preds_scratch.extend(margins.iter().map(|&m| loss.transform(m)));
         match self {
-            EvalMetric::Loss => {
-                margins.iter().zip(labels).map(|(&m, &y)| loss.value(m, y)).sum::<f64>()
-                    / margins.len() as f64
+            EvalMetric::Rmse => rmse(preds_scratch, labels),
+            // With one output, multiclass log-loss over {p, 1-p} is
+            // exactly binary log-loss.
+            EvalMetric::Logloss | EvalMetric::MultiLogloss => logloss(preds_scratch, labels),
+            EvalMetric::Auc => auc(preds_scratch, labels),
+            EvalMetric::Accuracy => accuracy(preds_scratch, labels, 0.5),
+            EvalMetric::Pinball => {
+                let alpha = match loss {
+                    Loss::Quantile { alpha } => alpha,
+                    _ => 0.5,
+                };
+                pinball_loss(preds_scratch, labels, alpha)
             }
-            _ => {
-                preds_scratch.clear();
-                preds_scratch.extend(margins.iter().map(|&m| loss.transform(m)));
-                match self {
-                    EvalMetric::Rmse => rmse(preds_scratch, labels),
-                    // With one output, multiclass log-loss over {p, 1-p}
-                    // is exactly binary log-loss.
-                    EvalMetric::Logloss | EvalMetric::MultiLogloss => {
-                        logloss(preds_scratch, labels)
-                    }
-                    EvalMetric::Auc => auc(preds_scratch, labels),
-                    EvalMetric::Accuracy => accuracy(preds_scratch, labels, 0.5),
-                    // Scalar fallback treats the whole eval set as one
-                    // query; the trainer substitutes real query groups
-                    // when the eval dataset carries them.
-                    EvalMetric::Ndcg { k } => {
-                        let group = [margins.len() as u32];
-                        ndcg_at_k(preds_scratch, labels, &group, *k as usize)
-                    }
-                    EvalMetric::Pinball => {
-                        let alpha = match loss {
-                            Loss::Quantile { alpha } => alpha,
-                            _ => 0.5,
-                        };
-                        pinball_loss(preds_scratch, labels, alpha)
-                    }
-                    EvalMetric::Loss => unreachable!("handled above"),
-                }
-            }
+            EvalMetric::Loss | EvalMetric::Ndcg { .. } => unreachable!("read above"),
         }
     }
+}
+
+/// One cell of the metric x objective table: how a metric reads a
+/// model's margins.
+enum Reading {
+    /// Any metric over one output through a per-record loss's link.
+    Scalar(Loss),
+    /// Softmax cross-entropy over K class margins.
+    MultiLogloss,
+    /// Argmax accuracy over K class margins.
+    MultiAccuracy,
+    /// NDCG@k of raw scores within query groups (0 = untruncated).
+    Ndcg { k: usize },
+    /// LambdaRank's |ΔNDCG|-weighted pairwise surrogate loss.
+    RankLoss,
 }
 
 /// Root-mean-square error between predictions and labels.
@@ -593,6 +650,51 @@ mod tests {
         assert_eq!(
             EvalMetric::Auc.compute(loss, &margins, &labels).to_bits(),
             auc(&preds, &labels64).to_bits()
+        );
+    }
+
+    /// The table has one reader: a pair passes `is_defined_for` (what
+    /// `TrainConfig::validate` asks) exactly when the scorer accepts it.
+    #[test]
+    fn the_scorer_accepts_exactly_the_pairs_the_table_defines() {
+        let objectives = [
+            Objective::SquaredError,
+            Objective::Logistic,
+            Objective::PinballQuantile { alpha: 0.3 },
+            Objective::Softmax { num_class: 2 },
+            Objective::LambdaRank,
+        ];
+        let labels = [0.0f64, 1.0, 1.0, 0.0];
+        let mut defined = Vec::new();
+        for objective in objectives {
+            let margins = vec![0.25f64; labels.len() * objective.num_outputs()];
+            for metric in all_metrics() {
+                let scored = std::panic::catch_unwind(|| {
+                    metric.compute_reusing(&objective, &margins, &labels, &[4], &mut Vec::new())
+                });
+                assert_eq!(
+                    scored.is_ok(),
+                    metric.is_defined_for(&objective),
+                    "{} x {}",
+                    metric.name(),
+                    objective.name()
+                );
+                if scored.is_ok() && objective.scalar_loss().is_none() {
+                    defined.push((objective.name(), metric.name()));
+                }
+            }
+        }
+        // Every metric reads a scalar-loss model; the coupled objectives
+        // define exactly these.
+        assert_eq!(
+            defined,
+            [
+                ("softmax", "loss"),
+                ("softmax", "multi-logloss"),
+                ("softmax", "accuracy"),
+                ("lambdarank", "loss"),
+                ("lambdarank", "ndcg"),
+            ]
         );
     }
 

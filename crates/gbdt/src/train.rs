@@ -1,7 +1,8 @@
 //! Training configuration, instrumentation types and the sequential
-//! execution backend — plus the classic entry points (`train`,
-//! `train_with`, `train_with_eval`), which are thin wrappers over the
-//! unified growth engine in [`crate::grow`].
+//! execution backend — plus the entry points `train` and `train_with`,
+//! which call the growth engine in [`crate::grow`] without an
+//! evaluation set ([`crate::grow::grow_forest_with_eval`] attaches
+//! one).
 //!
 //! The engine grows the ensemble one tree at a time (Step 6 of Table I)
 //! and each tree in the order picked by
@@ -27,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::columnar::{ColumnRef, ColumnarMirror};
 use crate::gradients::{GradPair, Loss, Objective};
-use crate::grow::{grow_forest, grow_forest_with_eval, GrowthStrategy};
+use crate::grow::{grow_forest_with_eval, GrowthStrategy};
 use crate::histogram::{bin_field_dense, bin_field_gathered, sum_grad_pairs_dense, NodeHistogram};
 use crate::metrics::EvalMetric;
 use crate::partition::partition_rows;
@@ -164,15 +165,16 @@ impl StepExecutor for SequentialExec {
 /// Training configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TrainConfig {
-    /// Number of trees to grow (the paper trains 500 per dataset).
+    /// Number of boosting rounds (the paper trains 500 per dataset).
+    /// A round grows one tree per model output: one tree for every
+    /// objective but softmax, which grows `num_class`.
     pub num_trees: usize,
     /// Maximum tree depth (the paper uses up to 6).
     pub max_depth: u32,
     /// Shrinkage applied to leaf weights.
     pub learning_rate: f64,
-    /// Training objective. Scalar objectives (squared error, logistic,
-    /// pinball quantile) run the original one-output engine path
-    /// bit-for-bit; softmax grows one tree per class per round and
+    /// Training objective. Every objective trains through the same
+    /// boosting loop; softmax grows one tree per class per round and
     /// LambdaRank needs query groups on the training set.
     pub objective: Objective,
     /// Split-evaluation parameters (Step 2).
@@ -197,8 +199,9 @@ pub struct TrainConfig {
     pub seed: u64,
     /// Validation-driven early stopping. Requires an evaluation set
     /// ([`EvalSet`]): training stops once the eval metric has not
-    /// improved for `patience` trees and the model is truncated back to
-    /// its best iteration.
+    /// improved for `patience` rounds and the model is truncated back to
+    /// its best iteration. The metric must be defined for the objective
+    /// ([`EvalMetric::is_defined_for`]).
     pub early_stopping: Option<EarlyStopping>,
     /// Tree-growth order: vertex-wise (default), level-wise, or
     /// best-first leaf-wise under a leaf budget.
@@ -225,16 +228,16 @@ impl Default for TrainConfig {
     }
 }
 
-/// Validation-driven early stopping: after each tree the held-out
-/// [`EvalSet`] is scored with `metric`; once `patience` consecutive
-/// trees fail to improve the best value by more than `min_delta`,
-/// training stops and the model is truncated to its best iteration
-/// (recorded in [`TrainReport::best_iteration`]).
+/// Validation-driven early stopping: after each boosting round the
+/// held-out [`EvalSet`] is scored with `metric`; once `patience`
+/// consecutive rounds fail to improve the best value by more than
+/// `min_delta`, training stops and the model is truncated to its best
+/// iteration (recorded in [`TrainReport::best_iteration`]).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct EarlyStopping {
     /// Metric tracked on the evaluation set.
     pub metric: EvalMetric,
-    /// Trees without improvement tolerated before stopping (≥ 1).
+    /// Rounds without improvement tolerated before stopping (≥ 1).
     pub patience: usize,
     /// Minimum improvement that resets the patience counter (≥ 0).
     pub min_delta: f64,
@@ -352,6 +355,13 @@ impl TrainConfig {
                     format!("must be finite and non-negative, got {}", es.min_delta),
                 );
             }
+            if !es.metric.is_defined_for(&self.objective) {
+                let (metric, objective) = (es.metric.name(), self.objective.name());
+                return err(
+                    "early_stopping.metric",
+                    format!("{metric} is not defined for {objective} models"),
+                );
+            }
         }
         if !(self.split.lambda.is_finite() && self.split.lambda >= 0.0) {
             return err(
@@ -450,14 +460,17 @@ pub struct TrainReport {
     pub work: WorkCounters,
     /// Phase descriptors (present iff `collect_phases`).
     pub phase_log: Option<PhaseLog>,
-    /// Mean training loss after each tree.
+    /// Mean training loss after each boosting round (a round is one
+    /// tree, except under softmax, where it is `num_class` trees).
     pub loss_history: Vec<f64>,
-    /// Per-tree evaluation metric on the held-out set (present iff an
-    /// [`EvalSet`] was provided; one entry per tree actually trained).
+    /// Per-round evaluation metric on the held-out set (present iff an
+    /// [`EvalSet`] was provided; one entry per round actually trained).
     pub eval_history: Option<Vec<f64>>,
-    /// Tree count of the best model under the eval metric (present iff
-    /// an [`EvalSet`] was provided). With early stopping enabled the
-    /// returned model is truncated to exactly this many trees.
+    /// Tree count of the best model under the eval metric — the best
+    /// round times the trees per round, so always a round boundary
+    /// (present iff an [`EvalSet`] was provided). With early stopping
+    /// enabled the returned model is truncated to exactly this many
+    /// trees.
     pub best_iteration: Option<usize>,
 }
 
@@ -471,43 +484,15 @@ pub fn train(
     train_with(data, columnar, cfg, &SequentialExec)
 }
 
-/// Train with early stopping on a held-out evaluation set: stop once the
-/// eval loss has not improved for `patience` consecutive trees, and trim
-/// the model back to its best iteration. Returns the model, the report,
-/// and the per-tree eval-loss history.
-///
-/// Compatibility wrapper over the engine's eval pipeline
-/// ([`crate::grow::grow_forest_with_eval`]) with the default
-/// [`EvalMetric::Loss`] and `min_delta = 0`; configure
-/// [`TrainConfig::early_stopping`] directly for other metrics or the
-/// parallel backend.
-pub fn train_with_eval(
-    data: &BinnedDataset,
-    columnar: &ColumnarMirror,
-    cfg: &TrainConfig,
-    eval: &BinnedDataset,
-    patience: usize,
-) -> (Model, TrainReport, Vec<f64>) {
-    let cfg = TrainConfig {
-        early_stopping: Some(EarlyStopping { metric: EvalMetric::Loss, patience, min_delta: 0.0 }),
-        ..cfg.clone()
-    };
-    let (model, report) =
-        grow_forest_with_eval(data, columnar, &cfg, &SequentialExec, Some(&EvalSet::new(eval)));
-    let history = report.eval_history.clone().expect("eval set provided");
-    (model, report, history)
-}
-
-/// Train a model with an explicit execution backend. Compatibility
-/// wrapper over the unified engine in [`crate::grow`]; the growth order
-/// is taken from `cfg.growth`.
+/// Train a model with an explicit execution backend and no evaluation
+/// set; the growth order is taken from `cfg.growth`.
 pub fn train_with(
     data: &BinnedDataset,
     columnar: &ColumnarMirror,
     cfg: &TrainConfig,
     exec: &dyn StepExecutor,
 ) -> (Model, TrainReport) {
-    grow_forest(data, columnar, cfg, exec)
+    grow_forest_with_eval(data, columnar, cfg, exec, None)
 }
 
 #[cfg(test)]
@@ -691,9 +676,17 @@ mod tests {
             max_depth: 4,
             learning_rate: 0.4,
             objective: Objective::Logistic,
+            early_stopping: Some(EarlyStopping { patience: 10, ..Default::default() }),
             ..Default::default()
         };
-        let (model, _, history) = train_with_eval(&data, &mirror, &cfg, &eval, 10);
+        let (model, report) = grow_forest_with_eval(
+            &data,
+            &mirror,
+            &cfg,
+            &SequentialExec,
+            Some(&EvalSet::new(&eval)),
+        );
+        let history = report.eval_history.expect("eval set provided");
         assert!(!history.is_empty());
         assert!(model.num_trees() <= history.len());
         // The trimmed size is the argmin of the eval history.
@@ -830,6 +823,28 @@ mod tests {
                     ..Default::default()
                 },
                 "early_stopping.min_delta",
+            ),
+            (
+                TrainConfig {
+                    objective: Objective::Softmax { num_class: 3 },
+                    early_stopping: Some(EarlyStopping {
+                        metric: EvalMetric::Auc,
+                        ..Default::default()
+                    }),
+                    ..Default::default()
+                },
+                "early_stopping.metric",
+            ),
+            (
+                TrainConfig {
+                    objective: Objective::LambdaRank,
+                    early_stopping: Some(EarlyStopping {
+                        metric: EvalMetric::Accuracy,
+                        ..Default::default()
+                    }),
+                    ..Default::default()
+                },
+                "early_stopping.metric",
             ),
             (
                 TrainConfig {

@@ -199,6 +199,33 @@ fn coupled_objectives_are_rejected_up_front() {
     );
 }
 
+/// An eval metric undefined for the objective never reaches a worker:
+/// it is the same typed "invalid config" error as any other
+/// `TrainConfig::validate` failure.
+#[test]
+fn undefined_eval_metric_is_an_invalid_config_error() {
+    use booster_repro::gbdt::metrics::EvalMetric;
+    let (data, mirror) = generate_binned(Benchmark::Iot, 50, 1);
+    let cfg = TrainConfig {
+        num_trees: 2,
+        objective: Objective::LambdaRank,
+        early_stopping: Some(EarlyStopping { metric: EvalMetric::Auc, ..Default::default() }),
+        ..Default::default()
+    };
+    let plan = ShardPlan::even(data.num_records(), 2);
+    let comm = ChannelComm::spawn(plan.shard(&data).expect("shards"), TIMEOUT);
+    let eval = EvalSet::new(&data);
+    let err =
+        train_distributed_with_eval(&data, &mirror, &cfg, comm, &plan, Some(&eval)).unwrap_err();
+    match err {
+        booster_repro::dist::DistError::Protocol(msg) => assert!(
+            msg.contains("invalid config: early_stopping.metric"),
+            "unexpected message: {msg}"
+        ),
+        other => panic!("expected an invalid-config protocol error, got {other:?}"),
+    }
+}
+
 /// The Step-1 traffic measurements line up with the run: one bin event
 /// per explicit histogram build, each engaging at most N workers, and
 /// the per-op counters see exactly the BuildHist/HistDone traffic.
