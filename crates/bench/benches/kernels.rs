@@ -10,8 +10,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use booster_datagen::{generate_binned, Benchmark};
+use booster_datagen::{default_objective, generate_binned, Benchmark};
 use booster_gbdt::gradients::GradPair;
+use booster_gbdt::grow::GrowthStrategy;
 use booster_gbdt::histogram::NodeHistogram;
 use booster_gbdt::partition::partition_rows;
 use booster_gbdt::split::{find_best_split, SplitParams, SplitRule};
@@ -150,6 +151,63 @@ fn bench_traversal(c: &mut Criterion) {
     g.bench_function("higgs_20trees_parallel", |b| {
         b.iter(|| black_box(model.predict_batch_parallel(black_box(&data))))
     });
+
+    // Step 5 proper — one new tree over every record, margins and
+    // gradient pairs refreshed, loss folded — as the executors run it
+    // (`lanes`: the lowered tree walked in lockstep lanes, then the
+    // refresh per block) beside the per-record node walk fused with the
+    // refresh that it replaced and is tested against (`node_walk`).
+    let depth6 = TrainConfig { num_trees: 3, max_depth: 6, ..Default::default() };
+    let skewed = TrainConfig {
+        max_depth: 24,
+        growth: GrowthStrategy::LeafWise { max_leaves: 64 },
+        ..depth6.clone()
+    };
+    let cases = [
+        ("flight", Benchmark::Flight, SCALES[0], &depth6),
+        ("flight", Benchmark::Flight, SCALES[1], &depth6),
+        ("allstate_wide", Benchmark::Allstate, SCALES[0], &depth6),
+        ("leafwise_skewed", Benchmark::Higgs, SCALES[0], &skewed),
+    ];
+    for (name, bench, n, cfg) in cases {
+        let (data, mirror) = generate_binned(bench, n, 1);
+        let objective = default_objective(bench);
+        let loss = objective.scalar_loss().expect("the benchmark objectives are per-record");
+        let (model, _) = train(&data, &mirror, &TrainConfig { objective, ..cfg.clone() });
+        let tree = model.trees.last().expect("three trees");
+        let labels = data.labels();
+        let mut margins = vec![0.0f64; n];
+        let mut grads = vec![GradPair::zero(); n];
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function(BenchmarkId::new(format!("{name}/node_walk"), n), |b| {
+            b.iter(|| {
+                margins.fill(model.base_score);
+                let (mut sum_path, mut total) = (0u64, 0.0f64);
+                for r in 0..n {
+                    let (w, path) = tree.traverse_binned(black_box(&data), r);
+                    sum_path += u64::from(path);
+                    margins[r] += w;
+                    let (gp, value) = loss.grad_value(margins[r], f64::from(labels[r]));
+                    grads[r] = gp;
+                    total += value;
+                }
+                black_box((sum_path, total))
+            })
+        });
+        g.bench_function(BenchmarkId::new(format!("{name}/lanes"), n), |b| {
+            b.iter(|| {
+                margins.fill(model.base_score);
+                black_box(SequentialExec.traverse_update(
+                    black_box(&data),
+                    tree,
+                    loss,
+                    labels,
+                    &mut margins,
+                    &mut grads,
+                ))
+            })
+        });
+    }
     g.finish();
 }
 

@@ -26,11 +26,13 @@
 //!   and never zero), so every bin sees its records in exactly the
 //!   global row order; the vertex total rides a resumable
 //!   four-lane accumulator (`LaneAccumulator`) whose state travels with
-//!   the lanes.
+//!   the lanes. Workers bin with local training's columnar kernels
+//!   (`NodeHistogram::bin_columns` over the shard's mirror).
 //! - *Step 3*: each worker partitions its shard's rows with the stable
 //!   count-then-scatter kernel; concatenating the per-worker halves in
 //!   shard order *is* the global stable partition — fully parallel.
-//! - *Step 5*: all workers traverse their shards in parallel (margins,
+//! - *Step 5*: all workers traverse their shards in parallel with local
+//!   training's lane walk (`booster_gbdt::walk::TreeWalk`; margins,
 //!   gradients and per-record loss values are shard-local; the path-sum
 //!   is an exact integer reduction), then a cheap chained fold in shard
 //!   order reproduces the sequential loss accumulation bit for bit.

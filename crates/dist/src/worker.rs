@@ -22,7 +22,8 @@ use booster_gbdt::gradients::{GradPair, Loss};
 use booster_gbdt::histogram::{LaneAccumulator, NodeHistogram};
 use booster_gbdt::partition::partition_rows;
 use booster_gbdt::preprocess::BinnedDataset;
-use booster_gbdt::tree::{Node, Tree};
+use booster_gbdt::tree::Tree;
+use booster_gbdt::walk::TreeWalk;
 use booster_serve::frame::{read_frame_limit, write_frame, DIST_MAX_FRAME_BYTES};
 
 use crate::error::DistError;
@@ -192,7 +193,12 @@ impl WorkerState {
             }
             None => self.hist.reset(),
         }
-        self.hist.bin_records(&self.data, rows, &self.grads);
+        // The columnar kernels local training bins with. Rows come off
+        // the wire, so "as many rows as records" is not yet "the full
+        // ascending range": the dense stream is taken only when it is.
+        let n = self.data.num_records();
+        let identity = rows.len() == n && rows.iter().enumerate().all(|(i, &r)| r == i as u32);
+        self.hist.bin_columns(&self.mirror, (!identity).then_some(rows), &self.grads);
         for &r in rows {
             acc.push(self.grads[r as usize]);
         }
@@ -207,31 +213,28 @@ impl WorkerState {
         })
     }
 
-    /// Step 5 on the shard: apply the finished tree to every record,
-    /// refresh margins, gradients and stored per-record loss values, and
-    /// return the shard's traversal path sum (integer — exact in any
-    /// reduction order).
+    /// Step 5 on the shard: apply the finished tree to every record
+    /// through the lane walk local training runs, refresh margins,
+    /// gradients and stored per-record loss values, and return the
+    /// shard's traversal path sum (integer — exact in any reduction
+    /// order).
     fn traverse(&mut self, tree: &Tree) -> Result<u64, DistError> {
         let loss = self.require_init()?;
-        let nf = self.data.num_fields();
-        if let Some(bad) = tree.nodes().iter().find_map(|n| match n {
-            Node::Internal { field, .. } if *field as usize >= nf => Some(*field),
-            _ => None,
-        }) {
-            return Err(DistError::Protocol(format!(
-                "tree field {bad} out of range (shard has {nf} fields)"
-            )));
-        }
-        let mut sum_path = 0u64;
-        for r in 0..self.data.num_records() {
-            let (weight, path) = tree.traverse_binned(&self.data, r);
-            self.margins[r] += weight;
-            let (gp, lv) = loss.grad_value(self.margins[r], f64::from(self.data.labels()[r]));
-            self.grads[r] = gp;
-            self.loss_vals[r] = lv;
-            sum_path += u64::from(path);
-        }
-        Ok(sum_path)
+        // The lowering is the wire check: children in range and
+        // strictly forward, one parent each, fields inside the shard's
+        // schema — all before the walk's unchecked indexing.
+        let walk = TreeWalk::lower(tree, &self.data)
+            .map_err(|e| DistError::Protocol(format!("traverse tree rejected: {e}")))?;
+        let loss_vals = &mut self.loss_vals;
+        Ok(walk.traverse_update(
+            &self.data,
+            0,
+            loss,
+            self.data.labels(),
+            &mut self.margins,
+            &mut self.grads,
+            |r, value| loss_vals[r] = value,
+        ))
     }
 }
 
@@ -288,6 +291,7 @@ fn serve_stream(mut state: WorkerState, stream: TcpStream) -> std::io::Result<()
 mod tests {
     use super::*;
     use booster_gbdt::split::SplitRule;
+    use booster_gbdt::tree::Node;
 
     fn tiny_shard() -> BinnedDataset {
         booster_datagen::generate_binned(booster_datagen::Benchmark::Iot, 32, 7).0
@@ -341,6 +345,96 @@ mod tests {
         .encode();
         let reply = Msg::decode(&w.handle_payload(&req).unwrap()).unwrap();
         assert!(matches!(reply, Msg::Err { seq: 3, .. }));
+    }
+
+    fn initialised(shard: BinnedDataset) -> WorkerState {
+        let mut w = WorkerState::new(shard);
+        let init = Msg::Init { seq: 1, loss: Loss::Logistic, base_score: 0.25 }.encode();
+        w.handle_payload(&init).unwrap();
+        w
+    }
+
+    fn internal(field: u32, left: u32, right: u32) -> Node {
+        let rule = SplitRule::Numeric { threshold_bin: 1 };
+        Node::Internal { field, rule, default_left: false, left, right }
+    }
+
+    #[test]
+    fn full_length_row_lists_are_binned_in_their_own_order() {
+        // As many rows as the shard has records, but not the identity
+        // range: a reversed list and one with a repeated id. The dense
+        // stream must not be taken on length alone — the reply has to be
+        // what the row-major kernel gives for exactly these rows.
+        let shard = tiny_shard();
+        let reversed: Vec<u32> = (0..32).rev().collect();
+        let mut repeated: Vec<u32> = (0..32).collect();
+        repeated[31] = 0;
+        for rows in [reversed, repeated, (0..32).collect()] {
+            let mut w = initialised(shard.clone());
+            let mut oracle = NodeHistogram::zeroed(&shard);
+            oracle.bin_records(&shard, &rows, &w.grads);
+            let (grad, hess, count) = oracle.raw_lanes();
+            let req = Msg::BuildHist { seq: 2, rows: rows.clone(), carry: None }.encode();
+            match Msg::decode(&w.handle_payload(&req).unwrap()).unwrap() {
+                Msg::HistDone { lanes, .. } => {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&lanes.grad), bits(grad), "rows {rows:?}");
+                    assert_eq!(bits(&lanes.hess), bits(hess), "rows {rows:?}");
+                    assert_eq!(lanes.count, count, "rows {rows:?}");
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_traverse_trees_are_typed_errors() {
+        let mut w = initialised(tiny_shard());
+        let leaf = || Node::Leaf { weight: 0.5 };
+        // The frame decoder already refuses children that are out of
+        // range or not forward, so those reach the handler directly.
+        let cases = [
+            ("out-of-range child", vec![internal(0, 1, 9), leaf(), leaf()]),
+            ("backward child", vec![internal(0, 1, 2), internal(0, 0, 3), leaf(), leaf()]),
+            ("field past the schema", vec![internal(4000, 1, 2), leaf(), leaf()]),
+            ("shared child", vec![internal(0, 1, 1), leaf()]),
+        ];
+        for (what, nodes) in cases {
+            match w.handle_msg(Msg::Traverse { seq: 5, tree: Tree::new(nodes) }) {
+                Err(DistError::Protocol(msg)) => {
+                    assert!(msg.starts_with("traverse tree rejected"), "{what}: {msg}")
+                }
+                other => panic!("{what}: expected a protocol error, got {other:?}"),
+            }
+        }
+        // And end to end, what the decoder lets through comes back as
+        // an `Err` frame, not a panic.
+        let tree = Tree::new(vec![internal(4000, 1, 2), leaf(), leaf()]);
+        let req = Msg::Traverse { seq: 6, tree }.encode();
+        let reply = Msg::decode(&w.handle_payload(&req).unwrap()).unwrap();
+        assert!(matches!(reply, Msg::Err { seq: 6, .. }));
+        // The worker is still usable afterwards: a single-leaf tree
+        // walks zero edges.
+        let req = Msg::Traverse { seq: 7, tree: Tree::leaf(0.5) }.encode();
+        let reply = Msg::decode(&w.handle_payload(&req).unwrap()).unwrap();
+        assert_eq!(reply, Msg::TravDone { seq: 7, sum_path: 0 });
+        assert!(w.margins.iter().all(|&m| m == 0.75));
+    }
+
+    #[test]
+    fn traverse_over_an_empty_shard_is_a_zero_path_sum() {
+        let (data, _) = booster_datagen::generate_binned(booster_datagen::Benchmark::Iot, 32, 7);
+        let empty = crate::shard::ShardPlan::even(32, 64).shard(&data).unwrap().pop().unwrap();
+        assert_eq!(empty.num_records(), 0);
+        let mut w = initialised(empty);
+        let tree = Tree::new(vec![
+            internal(0, 1, 2),
+            Node::Leaf { weight: 1.0 },
+            Node::Leaf { weight: 2.0 },
+        ]);
+        let req = Msg::Traverse { seq: 3, tree }.encode();
+        let reply = Msg::decode(&w.handle_payload(&req).unwrap()).unwrap();
+        assert_eq!(reply, Msg::TravDone { seq: 3, sum_path: 0 });
     }
 
     #[test]

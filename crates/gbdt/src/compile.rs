@@ -47,23 +47,16 @@ use rayon::prelude::*;
 use crate::infer::FlatEnsemble;
 use crate::preprocess::{BinIndex, BinMatrix, BinnedDataset};
 use crate::program::{
-    program_from_bytes, program_to_bytes, ClusterSpan, Instr, Program, ProgramError, TreeSpan,
-    FLAG_DEFAULT_LEFT, FLAG_NUMERIC, INSTR_SLOT_BYTES,
+    self, program_to_bytes, ClusterSpan, Instr, Program, ProgramError, TreeSpan, FLAG_DEFAULT_LEFT,
+    FLAG_NUMERIC, INSTR_SLOT_BYTES,
 };
 use crate::tree::TableEntry;
+use crate::walk::{walk_lanes, walk_one, BLOCK_RECORDS};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Records per scoring block: with tens of bins per record, a block's
-/// rows and margins stay L1/L2-resident while the block is walked by
-/// every tree of a cluster.
-const BLOCK_RECORDS: usize = 256;
-
-/// Records walked in lockstep through one tree: enough independent
-/// walk chains to hide load latency, small enough that their row slices
-/// stay register/L1-resident.
-pub const LANES: usize = 8;
+pub use crate::walk::LANES;
 
 /// Knobs for [`compile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,8 +232,9 @@ pub fn compile(
     // Validate in release too (one-time, O(instrs)): every
     // `CompiledEnsemble` construction path establishes the structural
     // invariants the interpreter's unchecked indexing relies on.
-    program.validate().expect("compiler emitted an invalid program");
-    Ok(CompiledEnsemble { program, dropped_entries: dropped, cluster_passes: Arc::default() })
+    let compiled =
+        CompiledEnsemble::from_program(program).expect("compiler emitted an invalid program");
+    Ok(CompiledEnsemble { dropped_entries: dropped, ..compiled })
 }
 
 /// A validated program plus its blocked lane kernel.
@@ -250,6 +244,11 @@ pub fn compile(
 #[derive(Debug, Clone)]
 pub struct CompiledEnsemble {
     program: Program,
+    /// Depth of every instruction in its tree, indexed like
+    /// `program.instrs` (what [`Program::instr_depths`] returned when
+    /// the program was validated): a record's path length through a
+    /// tree is the depth of the leaf it lands on.
+    depths: Vec<u32>,
     /// Table entries eliminated by DCE + truncation (0 for programs
     /// rebuilt from bytes — the stat is not part of the wire format).
     dropped_entries: usize,
@@ -261,30 +260,6 @@ pub struct CompiledEnsemble {
     cluster_passes: Arc<AtomicU64>,
 }
 
-/// Walk one record through one tree: the tree-local leaf index it lands
-/// on and the edges it took. Branch-free like the lane loop — exactly
-/// `depth` [`Instr::step`]s, and BFS numbering makes `next != idx`
-/// exactly "took an edge".
-///
-/// # Safety
-/// `code` must be one tree's span of a validated [`Program`], `depth`
-/// that span's depth, and `row` must hold at least the program's
-/// `num_fields` bins: [`Program::validate`] then guarantees every
-/// `left`/`right` stays inside the span and every `field` inside the
-/// row.
-#[inline(always)]
-unsafe fn walk_one<B: BinIndex>(code: &[Instr], depth: u32, row: &[B]) -> (usize, u64) {
-    let mut idx = 0u32;
-    let mut edges = 0u64;
-    for _ in 0..depth {
-        let ins = code.get_unchecked(idx as usize);
-        let next = ins.step(row.get_unchecked(ins.field as usize).widen());
-        edges += u64::from(next != idx);
-        idx = next;
-    }
-    (idx as usize, edges)
-}
-
 impl CompiledEnsemble {
     /// Wrap an externally supplied program after full validation, so
     /// the kernel's no-per-step-check execution stays sound.
@@ -292,8 +267,8 @@ impl CompiledEnsemble {
     /// # Errors
     /// [`ProgramError::Invalid`] describing the first broken invariant.
     pub fn from_program(program: Program) -> Result<Self, ProgramError> {
-        program.validate()?;
-        Ok(CompiledEnsemble { program, dropped_entries: 0, cluster_passes: Arc::default() })
+        let depths = program.instr_depths()?;
+        Ok(CompiledEnsemble { program, depths, dropped_entries: 0, cluster_passes: Arc::default() })
     }
 
     /// Serialize the program (see [`crate::program`] for the format).
@@ -306,11 +281,7 @@ impl CompiledEnsemble {
     /// # Errors
     /// Any [`ProgramError`]: corrupt bytes never yield an ensemble.
     pub fn from_bytes(data: &[u8]) -> Result<Self, ProgramError> {
-        program_from_bytes(data).map(|program| CompiledEnsemble {
-            program,
-            dropped_entries: 0,
-            cluster_passes: Arc::default(),
-        })
+        program::decode(data).and_then(Self::from_program)
     }
 
     /// The underlying program.
@@ -364,8 +335,9 @@ impl CompiledEnsemble {
 
     /// Walk every tree of one cluster over one record block, adding
     /// exact leaf weights into the block's row-major `records x K`
-    /// margins (and edge counts into `paths` when asked). `row_of(r)`
-    /// yields record `r`'s full-arity bin row.
+    /// margins (and path lengths into `paths` under `PATHS`; the slice
+    /// is empty otherwise). `row_of(r)` yields record `r`'s full-arity
+    /// bin row.
     ///
     /// Tree `t` feeds output slot `t % K`, so both loops go slot by
     /// slot over every `K`-th tree of the cluster: a slot's running
@@ -374,20 +346,21 @@ impl CompiledEnsemble {
     /// tree, and `SCALAR` monomorphizes it: a runtime stride of 1 cost
     /// the wide-bin lane loop 8%.
     ///
-    /// The lane loop is the hot path: `LANES` records advance through a
-    /// tree in lockstep, each step a branch-free [`Instr::step`], for
-    /// exactly `TreeSpan::depth` iterations — the trip count depends
-    /// only on the tree, so there is nothing for the branch predictor
-    /// to miss. The sub-`LANES` tail of a block, and every record when
-    /// paths are counted (the Fig-13 workload measurement), take
-    /// [`walk_one`].
-    fn run_cluster<'a, const SCALAR: bool, B, R>(
+    /// The lane loop is the hot path: [`walk_lanes`] advances `LANES`
+    /// records through a tree in lockstep, the walk Step 5 of training
+    /// runs too ([`crate::walk`]). A record's path length through a
+    /// tree is the depth of the leaf it lands on, so counting paths
+    /// (the Fig-13 workload measurement) is one more table read per
+    /// tree and rides the same lanes; `PATHS` keeps that read out of
+    /// plain scoring's instantiation. The sub-`LANES` tail of a block
+    /// takes [`walk_one`].
+    fn run_cluster<'a, const SCALAR: bool, const PATHS: bool, B, R>(
         &self,
         cl: &ClusterSpan,
         row_of: &R,
         r0: usize,
         margins: &mut [f64],
-        mut paths: Option<&mut [u64]>,
+        paths: &mut [u64],
     ) where
         B: BinIndex,
         R: Fn(usize) -> &'a [B],
@@ -400,49 +373,54 @@ impl CompiledEnsemble {
         // slot is open.
         let slots = k.min(spans.len());
         let n = margins.len() / k;
-        let lane_end = if paths.is_some() { 0 } else { n - n % LANES };
-        // SAFETY of the unchecked indexing below and in `walk_one`:
+        let lane_end = n - n % LANES;
+        // SAFETY of the walks and the unchecked table reads below:
         // every construction path (`compile`, `from_program`,
-        // `from_bytes`) runs `Program::validate`, which guarantees
-        // span-relative child indices stay inside their tree span,
-        // leaves self-loop, and every `field` is `< num_fields`;
-        // callers assert each row has exactly `num_fields` bins. `idx`
-        // starts at 0 (spans are non-empty) and only ever takes values
-        // of validated `left`/`right` fields.
+        // `from_bytes`) runs `Program::instr_depths`, which puts each
+        // span through `validate_tree` — span-relative child indices
+        // stay inside their tree span, leaves self-loop, every `field`
+        // is `< num_fields`, `span.depth` is the exact step count — and
+        // `depths` is its output, one entry per instruction; callers
+        // assert each row has exactly `num_fields` bins. A walk starts
+        // at 0 (spans are non-empty) and only ever takes values of
+        // validated `left`/`right` fields.
         for i in (0..lane_end).step_by(LANES) {
             let rows: [&[B]; LANES] = std::array::from_fn(|l| row_of(r0 + i + l));
+            let mut edges = [0u64; LANES];
             for j in 0..slots {
                 let c = (t0 + j) % k;
                 let mut acc: [f64; LANES] = std::array::from_fn(|l| margins[(i + l) * k + c]);
                 for span in spans[j..].iter().step_by(k) {
                     let first = span.first as usize;
                     let len = span.len as usize;
-                    let code = &p.instrs[first..first + len];
                     let w = &p.weights[first..first + len];
-                    let mut idx = [0u32; LANES];
-                    for _ in 0..span.depth {
-                        for l in 0..LANES {
-                            // SAFETY: see block comment above.
-                            unsafe {
-                                let ins = code.get_unchecked(idx[l] as usize);
-                                let bin = rows[l].get_unchecked(ins.field as usize).widen();
-                                idx[l] = ins.step(bin);
-                            }
-                        }
-                    }
+                    // SAFETY: see block comment above.
+                    let idx =
+                        unsafe { walk_lanes(&p.instrs[first..first + len], span.depth, &rows) };
                     for l in 0..LANES {
                         // SAFETY: see block comment above.
                         acc[l] += unsafe { *w.get_unchecked(idx[l] as usize) };
+                    }
+                    if PATHS {
+                        let d = &self.depths[first..first + len];
+                        for l in 0..LANES {
+                            // SAFETY: see block comment above.
+                            edges[l] += u64::from(unsafe { *d.get_unchecked(idx[l] as usize) });
+                        }
                     }
                 }
                 for l in 0..LANES {
                     margins[(i + l) * k + c] = acc[l];
                 }
             }
+            if PATHS {
+                for l in 0..LANES {
+                    paths[i + l] += edges[l];
+                }
+            }
         }
         for i in lane_end..n {
             let row = row_of(r0 + i);
-            let mut edges = 0u64;
             for j in 0..slots {
                 let c = (t0 + j) % k;
                 let mut m = margins[i * k + c];
@@ -450,14 +428,13 @@ impl CompiledEnsemble {
                     let first = span.first as usize;
                     let code = &p.instrs[first..first + span.len as usize];
                     // SAFETY: see block comment above.
-                    let (leaf, steps) = unsafe { walk_one(code, span.depth, row) };
-                    m += p.weights[first + leaf];
-                    edges += steps;
+                    let leaf = first + unsafe { walk_one(code, span.depth, row) } as usize;
+                    m += p.weights[leaf];
+                    if PATHS {
+                        paths[i] += u64::from(self.depths[leaf]);
+                    }
                 }
                 margins[i * k + c] = m;
-            }
-            if let Some(paths) = paths.as_deref_mut() {
-                paths[i] += edges;
             }
         }
     }
@@ -467,8 +444,9 @@ impl CompiledEnsemble {
     /// each output slot still accumulates leaf weights in exact global
     /// tree order (clusters are contiguous tree ranges) while one
     /// cluster's code stays cache-hot for the whole batch. `out` is
-    /// fully overwritten; `paths`, when given, must arrive zeroed.
-    fn drive<'a, B, R>(&self, row_of: &R, out: &mut [f64], mut paths: Option<&mut [u64]>)
+    /// fully overwritten; under `PATHS`, `paths` holds one zeroed slot
+    /// per record (it is not read otherwise).
+    fn drive<'a, const PATHS: bool, B, R>(&self, row_of: &R, out: &mut [f64], paths: &mut [u64])
     where
         B: BinIndex,
         R: Fn(usize) -> &'a [B],
@@ -484,12 +462,12 @@ impl CompiledEnsemble {
         for cl in &p.clusters {
             for r0 in (0..n).step_by(BLOCK_RECORDS) {
                 let r1 = (r0 + BLOCK_RECORDS).min(n);
-                let block_paths = paths.as_deref_mut().map(|p| &mut p[r0..r1]);
+                let block_paths = if PATHS { &mut paths[r0..r1] } else { &mut [][..] };
                 let block = &mut out[r0 * k..r1 * k];
                 if k == 1 {
-                    self.run_cluster::<true, B, R>(cl, row_of, r0, block, block_paths);
+                    self.run_cluster::<true, PATHS, B, R>(cl, row_of, r0, block, block_paths);
                 } else {
-                    self.run_cluster::<false, B, R>(cl, row_of, r0, block, block_paths);
+                    self.run_cluster::<false, PATHS, B, R>(cl, row_of, r0, block, block_paths);
                 }
             }
         }
@@ -501,20 +479,20 @@ impl CompiledEnsemble {
     /// [`CompiledEnsemble::drive`] over records `r0..` of a binned
     /// dataset. Dispatches the bin-matrix layout once; the lane loop is
     /// monomorphized per element width (packed rows stream 4x denser).
-    fn drive_dataset(
+    fn drive_dataset<const PATHS: bool>(
         &self,
         data: &BinnedDataset,
         r0: usize,
         out: &mut [f64],
-        paths: Option<&mut [u64]>,
+        paths: &mut [u64],
     ) {
         let nf = data.num_fields();
         match data.matrix() {
             BinMatrix::Packed(m) => {
-                self.drive(&|r| &m[(r0 + r) * nf..(r0 + r + 1) * nf], out, paths);
+                self.drive::<PATHS, _, _>(&|r| &m[(r0 + r) * nf..(r0 + r + 1) * nf], out, paths);
             }
             BinMatrix::Wide(m) => {
-                self.drive(&|r| &m[(r0 + r) * nf..(r0 + r + 1) * nf], out, paths);
+                self.drive::<PATHS, _, _>(&|r| &m[(r0 + r) * nf..(r0 + r + 1) * nf], out, paths);
             }
         }
     }
@@ -543,7 +521,7 @@ impl CompiledEnsemble {
     /// field-arity mismatch.
     pub fn score_into(&self, data: &BinnedDataset, out: &mut [f64]) {
         self.check_shape(data, out);
-        self.drive_dataset(data, 0, out, None);
+        self.drive_dataset::<false>(data, 0, out, &mut []);
     }
 
     /// [`CompiledEnsemble::score_into`] with one contiguous record
@@ -559,7 +537,7 @@ impl CompiledEnsemble {
         let per_core = data.num_records().div_ceil(rayon::current_num_threads()).max(1);
         out.par_chunks_mut(per_core * self.num_outputs())
             .enumerate()
-            .map(|(c, chunk)| self.drive_dataset(data, c * per_core, chunk, None))
+            .map(|(c, chunk)| self.drive_dataset::<false>(data, c * per_core, chunk, &mut []))
             .for_each();
     }
 
@@ -586,7 +564,7 @@ impl CompiledEnsemble {
             bins.len() / nf * self.num_outputs(),
             "output buffer must hold num_outputs slots per record"
         );
-        self.drive(&|r| &bins[r * nf..(r + 1) * nf], out, None);
+        self.drive::<false, _, _>(&|r| &bins[r * nf..(r + 1) * nf], out, &mut []);
     }
 
     /// Batch prediction returning per-record total path length (edges
@@ -597,7 +575,7 @@ impl CompiledEnsemble {
         let mut out = vec![0.0; n * self.num_outputs()];
         let mut paths = vec![0u64; n];
         self.check_shape(data, &out);
-        self.drive_dataset(data, 0, &mut out, Some(&mut paths));
+        self.drive_dataset::<true>(data, 0, &mut out, &mut paths);
         (out, paths)
     }
 }

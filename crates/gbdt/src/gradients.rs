@@ -60,7 +60,7 @@ impl core::ops::SubAssign for GradPair {
 /// Which scalar per-record loss the trainer minimizes on a single
 /// margin. The engine-facing primitive: every variant computes `(g, h)`
 /// and a loss value from one `(margin, label)` pair, which is exactly
-/// what the fused Step-5 traversal needs. Objectives whose gradients
+/// what Step 5's per-block refresh needs. Objectives whose gradients
 /// couple records (softmax across outputs, LambdaRank across a query
 /// group) live one layer up in [`Objective`] and do not appear here.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -173,7 +173,7 @@ impl Loss {
 ///
 /// Scalar objectives ([`Objective::SquaredError`], [`Objective::Logistic`],
 /// [`Objective::PinballQuantile`]) lower to a [`Loss`] and update their
-/// gradients in the fused Step-5 traversal. [`Objective::Softmax`]
+/// gradients in Step 5's refresh, block by block behind the tree walk. [`Objective::Softmax`]
 /// grows `num_class` trees per boosting round (one per output) and
 /// couples gradients across the K margins of a record;
 /// [`Objective::LambdaRank`] keeps one output but couples gradients

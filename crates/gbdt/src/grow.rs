@@ -64,7 +64,9 @@ use crate::predict::Model;
 use crate::preprocess::{BinnedDataset, BLOCK_BYTES};
 use crate::sample::SampleStream;
 use crate::split::{find_best_split, leaf_weight, SplitInfo};
-use crate::train::{EvalSet, StepExecutor, StepTimes, TrainConfig, TrainReport, WorkCounters};
+use crate::train::{
+    lower_for_step5, EvalSet, StepExecutor, StepTimes, TrainConfig, TrainReport, WorkCounters,
+};
 use crate::tree::{Node, Tree};
 
 /// The order in which frontier vertices are expanded while growing a
@@ -141,7 +143,7 @@ struct Boost<'a> {
     /// One slot's gradient column gathered contiguously (K > 1 only),
     /// so the engine's kernels stream it like a scalar run.
     column: Vec<GradPair>,
-    /// Loss total of the newest tree's fused Step 5 (scalar losses).
+    /// Loss total of the newest tree's Step 5 (scalar losses).
     loss_total: f64,
 }
 
@@ -210,11 +212,12 @@ impl<'a> Boost<'a> {
     }
 
     /// Step 5 for one new tree; returns the sum of path lengths. A
-    /// scalar loss runs the executor's fused traversal (margins,
-    /// gradients and the loss total in one pass). A coupled objective
-    /// only adds the tree into margin column `slot`: every tree of a
-    /// round sees the gradients as they stood when the round started,
-    /// and [`Self::end_round`] refreshes them.
+    /// scalar loss runs the executor's `traverse_update` (margins,
+    /// gradients and the loss total, block by block behind the lane
+    /// walk). A coupled objective runs the same walk but only adds the
+    /// tree into margin column `slot`: every tree of a round sees the
+    /// gradients as they stood when the round started, and
+    /// [`Self::end_round`] refreshes them.
     fn step5(
         &mut self,
         exec: &dyn StepExecutor,
@@ -234,18 +237,12 @@ impl<'a> Boost<'a> {
             self.loss_total = loss_total;
             return sum_path;
         }
-        let mut sum_path = 0u64;
-        for (r, row) in self.margins.chunks_exact_mut(self.k).enumerate() {
-            let (w, path) = tree.traverse_binned(data, r);
-            row[slot] += w;
-            sum_path += u64::from(path);
-        }
-        sum_path
+        lower_for_step5(tree, data).add_to_slot(data, &mut self.margins, self.k, slot)
     }
 
     /// Close a round that grew at least one tree; returns the mean
-    /// training loss after it. The fused scalar Step 5 already folded
-    /// the total; the coupled objectives refresh their gradients here,
+    /// training loss after it. The scalar Step 5 already folded the
+    /// total; the coupled objectives refresh their gradients here,
     /// timed as part of Step 5.
     fn end_round(&mut self, times: &mut StepTimes) -> f64 {
         if self.objective.scalar_loss().is_some() {
@@ -313,12 +310,10 @@ impl<'a> EvalState<'a> {
         }
     }
 
-    /// Accumulate one new tree into margin column `slot` (the node
-    /// walk: one tree per call, so there is no ensemble to lower).
+    /// Accumulate one new tree into margin column `slot` (the same
+    /// one-tree lane walk as Step 5, over the held-out records).
     fn add_tree(&mut self, tree: &Tree, slot: usize) {
-        for (r, row) in self.margins.chunks_exact_mut(self.k).enumerate() {
-            row[slot] += tree.traverse_binned(self.data, r).0;
-        }
+        lower_for_step5(tree, self.data).add_to_slot(self.data, &mut self.margins, self.k, slot);
     }
 
     /// Score the completed round's full output vectors and update the

@@ -22,7 +22,7 @@
 //! backend uses that one helper, so totals are deterministic and
 //! backend-independent too.
 
-use crate::columnar::ColumnRef;
+use crate::columnar::{ColumnRef, ColumnarMirror};
 use crate::gradients::GradPair;
 use crate::preprocess::{BinIndex, BinMatrix, BinnedDataset};
 
@@ -223,6 +223,38 @@ impl NodeHistogram {
         self.total += sum_grad_pairs(rows, grads);
         self.total_count += rows.len() as u64;
         rows.len() as u64 * nf as u64
+    }
+
+    /// [`Self::bin_records`] field by field over the mirror's columns —
+    /// the kernel the executors bin with: each field's lanes stay
+    /// cache-resident for its whole pass, and each bin still sees its
+    /// records in `rows` order, so lanes and totals are bit-identical
+    /// to the row-major kernel. `rows = None` is the full ascending
+    /// range `0..grads.len()`: the columns and the gradient pairs
+    /// stream with no indirection at all.
+    ///
+    /// # Panics
+    /// Panics if a row id is out of range.
+    pub fn bin_columns(
+        &mut self,
+        columnar: &ColumnarMirror,
+        rows: Option<&[u32]>,
+        grads: &[GradPair],
+    ) {
+        let Some(rows) = rows else {
+            for (f, mut lanes) in self.lanes_mut().into_iter().enumerate() {
+                bin_field_dense(columnar.column(f), grads, &mut lanes);
+            }
+            self.add_total(sum_grad_pairs_dense(grads), grads.len() as u64);
+            return;
+        };
+        // Gather the subset's gradient pairs once up front so every
+        // per-field pass streams them sequentially.
+        let gathered: Vec<GradPair> = rows.iter().map(|&r| grads[r as usize]).collect();
+        for (f, mut lanes) in self.lanes_mut().into_iter().enumerate() {
+            bin_field_gathered(columnar.column(f), rows, &gathered, &mut lanes);
+        }
+        self.add_total(sum_grad_pairs_dense(&gathered), rows.len() as u64);
     }
 
     /// Row-major scatter kernel, monomorphized per matrix layout. The

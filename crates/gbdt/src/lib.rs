@@ -16,7 +16,9 @@
 //!    ([`partition`]),
 //! 4. tree growth to a depth (or leaf) budget ([`grow`]),
 //! 5. **one-tree traversal** updating every record's gradient statistics
-//!    ([`train`], [`tree`]),
+//!    ([`walk`]: the finished tree is lowered once and walked by the
+//!    lane kernel inference runs, then margins and gradients are
+//!    refreshed block by block),
 //! 6. the outer loop over trees.
 //!
 //! All training flows through **one growth engine** ([`grow`]): a
@@ -42,7 +44,9 @@
 //! branches, for any number of outputs, bit-identical to the node walk:
 //! the software analogue of Booster's SRAM-resident batch-inference
 //! engine (Section III-D). Parallelism is a driver over record ranges
-//! of that kernel, not a second engine.
+//! of that kernel, not a second engine. Step 5 and inference share the
+//! walk ([`walk`]), as they share the BU table walk on the accelerator;
+//! the node walk is the oracle of both.
 //!
 //! ## Quickstart
 //!
@@ -97,6 +101,7 @@ pub mod split;
 pub(crate) mod telemetry;
 pub mod train;
 pub mod tree;
+pub mod walk;
 
 /// Convenient re-exports of the most common types.
 pub mod prelude {

@@ -14,9 +14,10 @@
 //! trained model is **bit-identical** to [`SequentialExec`]'s on every
 //! growth mode (the property `tests/property_tests.rs` asserts). Steps 3
 //! and 5 chunk records deterministically with in-order concatenation,
-//! and the Step-5 loss total is folded in record order over the updated
-//! margins, so `loss_history` — and with it `min_loss_decrease` early
-//! stopping — is bit-identical across backends too.
+//! and the Step-5 loss total is folded in record order over the chunks'
+//! per-record loss values, so `loss_history` — and with it
+//! `min_loss_decrease` early stopping — is bit-identical across backends
+//! too.
 
 use rayon::prelude::*;
 
@@ -26,7 +27,7 @@ use crate::histogram::{bin_field_dense, bin_field_gathered, sum_grad_pairs_dense
 use crate::partition::partition_rows;
 use crate::preprocess::BinnedDataset;
 use crate::split::SplitRule;
-use crate::train::{SequentialExec, StepExecutor};
+use crate::train::{lower_for_step5, SequentialExec, StepExecutor};
 use crate::tree::Tree;
 
 /// Parallel execution of the record-heavy steps: field-parallel Step 1,
@@ -130,30 +131,30 @@ impl StepExecutor for ParallelExec {
         grads: &mut [GradPair],
     ) -> (u64, f64) {
         let chunk = self.chunk_size;
+        let walk = lower_for_step5(tree, data);
+        // Each chunk keeps its records' loss values (the `exp` is paid
+        // once, with the gradient pair) ...
+        let mut loss_values = vec![0.0f64; margins.len()];
         let sum_path = margins
             .par_chunks_mut(chunk)
             .zip(grads.par_chunks_mut(chunk))
+            .zip(loss_values.par_chunks_mut(chunk))
             .enumerate()
-            .map(|(ci, (mchunk, gchunk))| {
-                let base = ci * chunk;
-                let mut sum_path = 0u64;
-                for (i, (m, g)) in mchunk.iter_mut().zip(gchunk.iter_mut()).enumerate() {
-                    let r = base + i;
-                    let (w, path) = tree.traverse_binned(data, r);
-                    sum_path += u64::from(path);
-                    *m += w;
-                    *g = loss.grad(*m, f64::from(labels[r]));
-                }
-                sum_path
+            .map(|(ci, ((mchunk, gchunk), lchunk))| {
+                let first = ci * chunk;
+                let labels = &labels[first..first + mchunk.len()];
+                walk.traverse_update(data, first, loss, labels, mchunk, gchunk, |i, value| {
+                    lchunk[i] = value;
+                })
             })
             .reduce(|| 0, |a, b| a + b);
-        // Loss: a record-ordered fold over the (exactly updated) margins —
-        // the same association as the scalar path, so `loss_history` and
+        // ... and the total is one record-ordered fold over them — the
+        // same association as the scalar path, so `loss_history` and
         // therefore `min_loss_decrease` early stopping are bit-identical
         // across backends, not just the model.
         let mut total_loss = 0.0f64;
-        for (m, &y) in margins.iter().zip(labels) {
-            total_loss += loss.value(*m, f64::from(y));
+        for value in loss_values {
+            total_loss += value;
         }
         (sum_path, total_loss)
     }

@@ -22,8 +22,9 @@
 //!    instruction have a strictly greater tree-local index than their
 //!    parent (and index `< len`). Walks therefore always make forward
 //!    progress, any instruction stream is cycle-free by construction,
-//!    and `next != idx` is exactly "took an edge" (path-length
-//!    counting is branch-free too).
+//!    and one forward pass gives every instruction its depth — the
+//!    path length of a record that lands there, so path counting costs
+//!    the walk nothing ([`Program::instr_depths`]).
 //! 2. **Self-looping leaves** — a leaf instruction has
 //!    `left == right == own index`, so once a record reaches its leaf,
 //!    the remaining fixed-depth steps are harmless no-ops.
@@ -240,6 +241,17 @@ impl Program {
     /// leaf after exactly `depth` steps, and only ever index record
     /// rows below `num_fields`.
     pub fn validate(&self) -> Result<(), ProgramError> {
+        self.instr_depths().map(drop)
+    }
+
+    /// [`Program::validate`], handing back what the validator computes
+    /// on the way: every instruction's depth in its tree (edges from
+    /// the root), indexed like `instrs`. The kernel reads a record's
+    /// path length off this table at the leaf it lands on — exact for
+    /// every tree-shaped span, which is all [`crate::compile`] emits;
+    /// where a hand-built stream shares a child between parents it is
+    /// the longest root path to that leaf.
+    pub fn instr_depths(&self) -> Result<Vec<u32>, ProgramError> {
         if self.num_fields == 0 {
             return Err(ProgramError::Invalid("zero field arity"));
         }
@@ -281,61 +293,79 @@ impl Program {
             return Err(ProgramError::Invalid("clusters do not cover trees"));
         }
         // Per-tree instruction invariants + exact-depth recomputation.
-        let mut depth_scratch: Vec<u32> = Vec::new();
+        let mut depths = Vec::with_capacity(self.instrs.len());
         for span in &self.trees {
             let first = span.first as usize;
-            let len = span.len as usize;
-            let code = &self.instrs[first..first + len];
-            depth_scratch.clear();
-            depth_scratch.resize(len, u32::MAX); // MAX = unreached
-            depth_scratch[0] = 0;
-            let mut max_leaf_depth = 0u32;
-            for (i, ins) in code.iter().enumerate() {
-                if ins.flags & !FLAG_MASK != 0 {
-                    return Err(ProgramError::Invalid("unknown flag bits"));
-                }
-                if ins.field >= self.num_fields {
-                    return Err(ProgramError::Invalid("field out of range"));
-                }
-                let d = depth_scratch[i];
-                if d == u32::MAX {
-                    return Err(ProgramError::Invalid("unreachable instruction"));
-                }
-                if ins.is_leaf() {
-                    if ins.left as usize != i || ins.right as usize != i {
-                        return Err(ProgramError::Invalid("leaf must self-loop"));
-                    }
-                    max_leaf_depth = max_leaf_depth.max(d);
-                } else {
-                    let (l, r) = (ins.left as usize, ins.right as usize);
-                    if l <= i || r <= i || l >= len || r >= len {
-                        return Err(ProgramError::Invalid("child index breaks BFS order"));
-                    }
-                    if self.weights[first + i] != 0.0 {
-                        return Err(ProgramError::Invalid("internal weight not zero"));
-                    }
-                    // Forward pass: parents precede children, so child
-                    // depths are final by the time we visit them. Keep
-                    // the LONGEST root path per node — hostile streams
-                    // may share a child between parents, and only the
-                    // longest-path depth guarantees every walk sits on
-                    // a leaf after `span.depth` fixed steps.
-                    for c in [l, r] {
-                        let nd = d + 1;
-                        depth_scratch[c] = if depth_scratch[c] == u32::MAX {
-                            nd
-                        } else {
-                            depth_scratch[c].max(nd)
-                        };
-                    }
-                }
-            }
-            if max_leaf_depth != span.depth {
+            let end = first + span.len as usize;
+            let depth = validate_tree(
+                &self.instrs[first..end],
+                &self.weights[first..end],
+                self.num_fields,
+                &mut depths,
+            )?;
+            if depth != span.depth {
                 return Err(ProgramError::Invalid("tree depth mismatch"));
             }
         }
-        Ok(())
+        Ok(depths)
     }
+}
+
+/// Check one tree's instructions (module-doc invariants 1, 2, 4 and 5)
+/// and append every instruction's depth to `depths`; returns the tree's
+/// exact maximum leaf depth, the step count after which every walk sits
+/// on a leaf. This is the one check the kernel's unchecked indexing
+/// rests on: [`Program::instr_depths`] runs it per span, and
+/// [`crate::walk::TreeWalk::lower`] on the one tree Step 5 walks.
+pub(crate) fn validate_tree(
+    code: &[Instr],
+    weights: &[f64],
+    num_fields: u32,
+    depths: &mut Vec<u32>,
+) -> Result<u32, ProgramError> {
+    let len = code.len();
+    debug_assert!(len > 0 && weights.len() == len, "callers pass one non-empty tree");
+    let base = depths.len();
+    depths.resize(base + len, u32::MAX); // MAX = unreached
+    let depths = &mut depths[base..];
+    depths[0] = 0;
+    let mut max_leaf_depth = 0u32;
+    for (i, ins) in code.iter().enumerate() {
+        if ins.flags & !FLAG_MASK != 0 {
+            return Err(ProgramError::Invalid("unknown flag bits"));
+        }
+        if ins.field >= num_fields {
+            return Err(ProgramError::Invalid("field out of range"));
+        }
+        let d = depths[i];
+        if d == u32::MAX {
+            return Err(ProgramError::Invalid("unreachable instruction"));
+        }
+        if ins.is_leaf() {
+            if ins.left as usize != i || ins.right as usize != i {
+                return Err(ProgramError::Invalid("leaf must self-loop"));
+            }
+            max_leaf_depth = max_leaf_depth.max(d);
+        } else {
+            let (l, r) = (ins.left as usize, ins.right as usize);
+            if l <= i || r <= i || l >= len || r >= len {
+                return Err(ProgramError::Invalid("child index breaks BFS order"));
+            }
+            if weights[i] != 0.0 {
+                return Err(ProgramError::Invalid("internal weight not zero"));
+            }
+            // Forward pass: parents precede children, so child depths
+            // are final by the time we visit them. Keep the LONGEST
+            // root path per node — hostile streams may share a child
+            // between parents, and only the longest-path depth
+            // guarantees every walk sits on a leaf after the returned
+            // number of fixed steps.
+            for c in [l, r] {
+                depths[c] = if depths[c] == u32::MAX { d + 1 } else { depths[c].max(d + 1) };
+            }
+        }
+    }
+    Ok(max_leaf_depth)
 }
 
 /// FNV-1a over the body; guards the wire format against bit flips that
@@ -421,6 +451,16 @@ pub fn program_to_bytes(p: &Program) -> Bytes {
 /// [`Program::validate`] — so a returned program can never make the
 /// interpreter panic, loop, or read out of bounds.
 pub fn program_from_bytes(data: &[u8]) -> Result<Program, ProgramError> {
+    let program = decode(data)?;
+    program.validate()?;
+    Ok(program)
+}
+
+/// The parse half of [`program_from_bytes`]: checksum, bounds and
+/// framing, with the structural check left to the caller
+/// ([`crate::compile::CompiledEnsemble::from_bytes`] validates once and
+/// keeps the depth table).
+pub(crate) fn decode(data: &[u8]) -> Result<Program, ProgramError> {
     let mut buf = Bytes::copy_from_slice(data);
     if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
         return Err(ProgramError::BadMagic);
@@ -510,18 +550,7 @@ pub fn program_from_bytes(data: &[u8]) -> Result<Program, ProgramError> {
     if buf.has_remaining() {
         return Err(ProgramError::Corrupt("trailing bytes"));
     }
-    let program = Program {
-        instrs,
-        weights,
-        trees,
-        clusters,
-        num_fields,
-        base_score,
-        objective,
-        num_outputs,
-    };
-    program.validate()?;
-    Ok(program)
+    Ok(Program { instrs, weights, trees, clusters, num_fields, base_score, objective, num_outputs })
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use crate::columnar::{ColumnRef, ColumnarMirror};
 use crate::gradients::{GradPair, Loss, Objective};
 use crate::grow::{grow_forest_with_eval, GrowthStrategy};
-use crate::histogram::{bin_field_dense, bin_field_gathered, sum_grad_pairs_dense, NodeHistogram};
+use crate::histogram::NodeHistogram;
 use crate::metrics::EvalMetric;
 use crate::partition::partition_rows;
 use crate::phases::PhaseLog;
@@ -37,6 +37,7 @@ use crate::predict::Model;
 use crate::preprocess::BinnedDataset;
 use crate::split::{SplitParams, SplitRule};
 use crate::tree::Tree;
+use crate::walk::TreeWalk;
 
 /// Pluggable execution backend for the record-heavy steps (1, 3 and 5).
 ///
@@ -75,6 +76,10 @@ pub trait StepExecutor: Sync {
 
     /// Step 5: traverse `tree` for every record, update margins and
     /// gradients in place; returns `(sum of path lengths, total loss)`.
+    /// The local backends lower the tree once and run the lane walk
+    /// batch inference runs ([`crate::walk::TreeWalk`]): blocks of leaf
+    /// indices first, then the margin / gradient / loss refresh over
+    /// each block in row order.
     fn traverse_update(
         &self,
         data: &BinnedDataset,
@@ -84,6 +89,16 @@ pub trait StepExecutor: Sync {
         margins: &mut [f64],
         grads: &mut [GradPair],
     ) -> (u64, f64);
+}
+
+/// Lower a finished tree for Step 5's lane walk.
+///
+/// # Panics
+/// Panics, naming the broken invariant, if `tree` is not one the grower
+/// could have built for `data` ([`TreeWalk::lower`]): a caller-built
+/// tree is rejected here, before the walk's unchecked indexing.
+pub(crate) fn lower_for_step5(tree: &Tree, data: &BinnedDataset) -> TreeWalk {
+    TreeWalk::lower(tree, data).unwrap_or_else(|e| panic!("Step 5 cannot walk this tree: {e}"))
 }
 
 /// Single-threaded execution (the paper's sequential configuration).
@@ -99,30 +114,13 @@ impl StepExecutor for SequentialExec {
         grads: &[GradPair],
         hist: &mut NodeHistogram,
     ) -> u64 {
-        // Field-wise over the packed mirror columns: each field's SoA
-        // lanes stay cache-resident for its whole pass, and each bin
-        // still sees its records in row order — bit-identical to the
-        // row-major kernel (`hist.bin_records`), just faster.
-        if rows.len() == data.num_records() {
-            // A row set as large as the dataset can only be the full
-            // ascending range (ids are unique, in-range, and every
-            // subset the grower builds is ascending) — stream the
-            // columns and the gradient pairs with no indirection.
-            debug_assert!(rows.iter().enumerate().all(|(i, &r)| i as u32 == r));
-            for (f, mut lanes) in hist.lanes_mut().into_iter().enumerate() {
-                bin_field_dense(columnar.column(f), grads, &mut lanes);
-            }
-            hist.add_total(sum_grad_pairs_dense(grads), rows.len() as u64);
-        } else {
-            // Sampled root or interior vertex: gather the subset's
-            // gradient pairs once up front so every per-field pass
-            // streams them sequentially.
-            let gathered: Vec<GradPair> = rows.iter().map(|&r| grads[r as usize]).collect();
-            for (f, mut lanes) in hist.lanes_mut().into_iter().enumerate() {
-                bin_field_gathered(columnar.column(f), rows, &gathered, &mut lanes);
-            }
-            hist.add_total(sum_grad_pairs_dense(&gathered), rows.len() as u64);
-        }
+        // A row set as large as the dataset can only be the full
+        // ascending range (ids are unique, in-range, and every subset
+        // the grower builds is ascending); anything smaller is a
+        // sampled root or an interior vertex.
+        let dense = rows.len() == data.num_records();
+        debug_assert!(!dense || rows.iter().enumerate().all(|(i, &r)| i as u32 == r));
+        hist.bin_columns(columnar, (!dense).then_some(rows), grads);
         rows.len() as u64 * data.num_fields() as u64
     }
 
@@ -147,17 +145,16 @@ impl StepExecutor for SequentialExec {
         margins: &mut [f64],
         grads: &mut [GradPair],
     ) -> (u64, f64) {
-        let mut sum_path = 0u64;
         let mut total_loss = 0.0f64;
-        for r in 0..data.num_records() {
-            let (w, path) = tree.traverse_binned(data, r);
-            sum_path += u64::from(path);
-            margins[r] += w;
-            let y = f64::from(labels[r]);
-            let (gp, lv) = loss.grad_value(margins[r], y);
-            grads[r] = gp;
-            total_loss += lv;
-        }
+        let sum_path = lower_for_step5(tree, data).traverse_update(
+            data,
+            0,
+            loss,
+            labels,
+            margins,
+            grads,
+            |_, value| total_loss += value,
+        );
         (sum_path, total_loss)
     }
 }

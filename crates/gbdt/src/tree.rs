@@ -1,7 +1,9 @@
 //! Decision trees and their flat table encoding.
 //!
-//! A trained tree is a vector of nodes (index 0 = root). For Step 5 and
-//! batch inference the tree is lowered to a [`TreeTable`] — the paper's
+//! A trained tree is a vector of nodes (index 0 = root). The software
+//! walks it through [`crate::walk`] (Step 5) and [`crate::compile`]
+//! (batch inference); for the accelerator model the tree is lowered to
+//! a [`TreeTable`] — the paper's
 //! "well-known idea of mapping the newly-grown tree to a table where each
 //! entry captures a vertex by encoding its predicate and pointers to the
 //! vertex's left and right children" (Section III-B), with fields
@@ -85,9 +87,10 @@ impl Tree {
     }
 
     /// Traverse with a per-field bin lookup; returns `(leaf weight,
-    /// path length in edges)`. Both lookups are generic (not `dyn`) so
-    /// the per-node calls inline into the walk loop — this is the
-    /// training Step-5 hot path.
+    /// path length in edges)`. This node walk is the reference every
+    /// other walk is tested against (`Model::predict_*`, the Step-5
+    /// differential tests); training and scoring run the lane walk of
+    /// [`crate::walk`].
     #[inline]
     pub fn traverse<F, A>(&self, bin_of_field: F, absent_of_field: A) -> (f64, u32)
     where
@@ -110,8 +113,9 @@ impl Tree {
         }
     }
 
-    /// Traverse for record `r` of a binned dataset. Monomorphized per
-    /// row layout so the packed path stays a plain byte load.
+    /// Traverse for record `r` of a binned dataset (the oracle's
+    /// per-record walk). Monomorphized per row layout so the packed
+    /// path stays a plain byte load.
     #[inline]
     pub fn traverse_binned(&self, data: &BinnedDataset, r: usize) -> (f64, u32) {
         let binnings = data.binnings();
