@@ -2,17 +2,28 @@
 //! every objective kind, growth order, eval mode and sampling mode.
 //!
 //! Each matrix cell trains a small model and digests everything the
-//! engine hands back that is not wall-clock time: the serialized model,
-//! the `loss_history` and `eval_history` bit patterns, `best_iteration`
-//! and the `WorkCounters`. The digests in
-//! `tests/fixtures/golden_training.digests` were blessed from the engine
-//! while scalar, softmax and LambdaRank each had a loop of their own, so
-//! any restructuring of the boosting loop must reproduce all of them —
-//! on both local executors — without re-blessing.
+//! engine hands back that is not wall-clock time, in two columns of
+//! `tests/fixtures/golden_training.digests` (`name model work`):
 //!
-//! Regenerating (only after an *intentional* change to training
+//! - **model** — the serialized model, the `loss_history` and
+//!   `eval_history` bit patterns and `best_iteration`: what training
+//!   *produced*. Blessed from the engine while scalar, softmax and
+//!   LambdaRank each had a loop of their own, so any restructuring of
+//!   the boosting loop or of a Step kernel must reproduce all of them —
+//!   on both local executors — without re-blessing.
+//! - **work** — the `WorkCounters`: how much work the engine *did* to
+//!   get there. A change that honestly does less work (skips a
+//!   histogram nobody reads) re-blesses this column alone, and the
+//!   model column proves the result did not move.
+//!
+//! Regenerating the work column after an intentional change in the
+//! work done (model digests are kept from the fixture and still
+//! asserted):
+//! `cargo test --test golden_training -- --ignored bless_work`
+//!
+//! Regenerating both (only after an *intentional* change to training
 //! numerics, never to make a refactor pass):
-//! `cargo test --test golden_training -- --ignored bless`
+//! `cargo test --test golden_training -- --ignored bless_all`
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -139,8 +150,16 @@ fn tables(objective: Objective) -> (BinnedDataset, BinnedDataset) {
     (train, eval)
 }
 
-/// Train every cell of the matrix on `exec` and return `name -> digest`.
-fn run_matrix(exec: &dyn StepExecutor) -> BTreeMap<String, u64> {
+/// One cell's two digests: what training produced, and the work it
+/// took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    model: u64,
+    work: u64,
+}
+
+/// Train every cell of the matrix on `exec` and return `name -> digests`.
+fn run_matrix(exec: &dyn StepExecutor) -> BTreeMap<String, Cell> {
     let mut out = BTreeMap::new();
     for (oname, objective) in objectives() {
         let (train, eval) = tables(objective);
@@ -186,9 +205,13 @@ fn run_matrix(exec: &dyn StepExecutor) -> BTreeMap<String, u64> {
                     d.f64s(report.eval_history.as_deref().unwrap_or(&[]));
                     d.u64(report.eval_history.is_some() as u64);
                     d.u64(report.best_iteration.map_or(u64::MAX, |b| b as u64));
-                    d.bytes(format!("{:?}", report.work).as_bytes());
+                    let mut w = Digest::new();
+                    w.bytes(format!("{:?}", report.work).as_bytes());
                     let eval_tag = if with_eval { "es" } else { "noeval" };
-                    out.insert(format!("{oname}/{gname}/{eval_tag}/sample{sample}"), d.0);
+                    out.insert(
+                        format!("{oname}/{gname}/{eval_tag}/sample{sample}"),
+                        Cell { model: d.0, work: w.0 },
+                    );
                 }
             }
         }
@@ -196,7 +219,7 @@ fn run_matrix(exec: &dyn StepExecutor) -> BTreeMap<String, u64> {
     out
 }
 
-fn blessed() -> BTreeMap<String, u64> {
+fn blessed() -> BTreeMap<String, Cell> {
     let text = std::fs::read_to_string(fixture_path()).unwrap_or_else(|_| {
         panic!(
             "tests/fixtures/golden_training.digests missing — see the module docs for the \
@@ -205,8 +228,11 @@ fn blessed() -> BTreeMap<String, u64> {
     });
     text.lines()
         .map(|line| {
-            let (name, hex) = line.split_once(' ').expect("`name digest` per line");
-            (name.to_string(), u64::from_str_radix(hex, 16).expect("hex digest"))
+            let mut cols = line.split(' ');
+            let mut next = || cols.next().expect("`name model work` per line");
+            let name = next().to_string();
+            let mut hex = || u64::from_str_radix(next(), 16).expect("hex digest");
+            (name, Cell { model: hex(), work: hex() })
         })
         .collect()
 }
@@ -214,20 +240,25 @@ fn blessed() -> BTreeMap<String, u64> {
 /// Compare a matrix run against the fixture, naming every diverging
 /// cell so a failure points at the objective/growth/eval/sampling
 /// combination that moved.
-fn assert_matches_blessed(exec_name: &str, got: &BTreeMap<String, u64>) {
+fn assert_matches_blessed(exec_name: &str, got: &BTreeMap<String, Cell>) {
     let want = blessed();
     assert_eq!(
         got.keys().collect::<Vec<_>>(),
         want.keys().collect::<Vec<_>>(),
         "matrix cells differ from the fixture's"
     );
-    let moved: Vec<&String> = got.iter().filter(|(k, v)| want[*k] != **v).map(|(k, _)| k).collect();
-    assert!(
-        moved.is_empty(),
-        "{exec_name}: {} of {} trained digests diverged from the blessed fixture: {moved:?}",
-        moved.len(),
-        got.len()
-    );
+    for (column, pick) in
+        [("model", (|c| c.model) as fn(&Cell) -> u64), ("work", |c: &Cell| c.work)]
+    {
+        let moved: Vec<&String> =
+            got.iter().filter(|(k, v)| pick(&want[*k]) != pick(v)).map(|(k, _)| k).collect();
+        assert!(
+            moved.is_empty(),
+            "{exec_name}: {} of {} `{column}` digests diverged from the blessed fixture: {moved:?}",
+            moved.len(),
+            got.len()
+        );
+    }
 }
 
 #[test]
@@ -249,16 +280,38 @@ fn parallel_exec_reproduces_the_blessed_training_digests() {
 fn the_matrix_exercises_distinct_behaviours() {
     let want = blessed();
     assert_eq!(want.len(), 5 * 3 * 2 * 2);
-    let mut distinct: Vec<u64> = want.values().copied().collect();
+    let mut distinct: Vec<u64> = want.values().map(|c| c.model).collect();
     distinct.sort_unstable();
     distinct.dedup();
     assert_eq!(distinct.len(), want.len(), "two matrix cells trained identical runs");
 }
 
+fn write_fixture(cells: &BTreeMap<String, Cell>) {
+    let text: String =
+        cells.iter().map(|(k, c)| format!("{k} {:016x} {:016x}\n", c.model, c.work)).collect();
+    std::fs::write(fixture_path(), text).expect("fixture written");
+}
+
+/// Re-bless the work column only: the model column is carried over
+/// from the fixture, and the run must still reproduce it.
+#[test]
+#[ignore = "writes the fixture; run only after an intentional change in the work done"]
+fn bless_work() {
+    let got = run_matrix(&SequentialExec);
+    let mut cells = blessed();
+    assert_eq!(got.keys().collect::<Vec<_>>(), cells.keys().collect::<Vec<_>>());
+    for (name, cell) in &mut cells {
+        assert_eq!(
+            got[name].model, cell.model,
+            "{name}: the model digest moved; not a work change"
+        );
+        cell.work = got[name].work;
+    }
+    write_fixture(&cells);
+}
+
 #[test]
 #[ignore = "writes the fixture; run only after an intentional numerics change"]
-fn bless() {
-    let digests = run_matrix(&SequentialExec);
-    let text: String = digests.iter().map(|(k, v)| format!("{k} {v:016x}\n")).collect();
-    std::fs::write(fixture_path(), text).expect("fixture written");
+fn bless_all() {
+    write_fixture(&run_matrix(&SequentialExec));
 }
