@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the hot GBDT kernels: histogram
 //! binning (Step 1), split scan (Step 2), partitioning (Step 3) and
-//! tree traversal (Step 5).
+//! tree traversal (Step 5) — and the distributed trainer's lane-block
+//! codec, which is Step 1's other half once histograms cross a wire.
 //!
 //! The record-streaming kernels run at two scales (one cache-resident,
 //! one DRAM-bound) and — where a layout choice exists — against both
@@ -211,5 +212,62 @@ fn bench_traversal(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_histogram, bench_split_scan, bench_partition, bench_traversal);
+/// The Step-1 wire codec (`booster_dist::lanes`) at the two bin counts
+/// the ledger trains on — Higgs (7 168 bins: 28 numeric fields) and
+/// Allstate (8 328, 4 232 of them one-hot) — in both modes: every bin occupied (a root's block,
+/// shipped dense: three bulk lane copies) and one bin in five (a deep
+/// vertex's, shipped sparse: bitmap + occupied entries). `encode` is
+/// the producer's `from_lanes`; `decode` is the consumer's whole path,
+/// validation and the scatter into its lanes. Throughput is in bytes
+/// actually shipped, so the sparse rows read lower in MB/s and higher
+/// in blocks/s.
+fn bench_lane_block(c: &mut Criterion) {
+    use booster_dist::LaneBlock;
+    let mut g = c.benchmark_group("lane_block");
+    g.sample_size(20);
+    for bench in [Benchmark::Higgs, Benchmark::Allstate] {
+        let nbins = generate_binned(bench, 20_000, 1).0.total_bins() as usize;
+        for (mode, every) in [("dense", 1usize), ("sparse", 5)] {
+            let occupied = |i: usize| i % every == 0;
+            let grad: Vec<f64> =
+                (0..nbins).map(|i| if occupied(i) { (i as f64).sin() } else { 0.0 }).collect();
+            let hess: Vec<f64> =
+                (0..nbins).map(|i| if occupied(i) { 1.0 + i as f64 } else { 0.0 }).collect();
+            let count: Vec<u64> = (0..nbins).map(|i| u64::from(occupied(i)) * 3).collect();
+            let block = LaneBlock::from_lanes(&grad, &hess, &count);
+            assert_eq!(block.is_sparse(), mode == "sparse");
+            let mut wire = Vec::new();
+            block.encode_into(&mut wire);
+            g.throughput(Throughput::Bytes(wire.len() as u64));
+            g.bench_function(BenchmarkId::new(format!("{mode}/encode"), bench.name()), |b| {
+                b.iter(|| {
+                    black_box(LaneBlock::from_lanes(
+                        black_box(&grad),
+                        black_box(&hess),
+                        black_box(&count),
+                    ))
+                })
+            });
+            let (mut g2, mut h2, mut c2) = (vec![0.0; nbins], vec![0.0; nbins], vec![0u64; nbins]);
+            g.bench_function(BenchmarkId::new(format!("{mode}/decode"), bench.name()), |b| {
+                b.iter(|| {
+                    let mut cursor = black_box(&wire[..]);
+                    let block = LaneBlock::decode_from(&mut cursor).expect("valid block");
+                    block.scatter_into(&mut g2, &mut h2, &mut c2);
+                    black_box(c2[0])
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_histogram,
+    bench_split_scan,
+    bench_partition,
+    bench_traversal,
+    bench_lane_block
+);
 criterion_main!(benches);

@@ -315,44 +315,67 @@ fn bench_timing_model(c: &mut Criterion) {
 /// Distributed data-parallel training against local training on the
 /// same config: the in-process channel transport with N ∈ {2, 4}
 /// worker threads (spawning, sharding and the wire protocol are all
-/// inside the timed region — that *is* the distributed overhead).
-/// Setup prints the measured Step-1 traffic once per worker count so
-/// the records/sec numbers can be read against bytes moved.
+/// inside the timed region — that *is* the distributed overhead), on a
+/// dense numeric dataset (Higgs: lane blocks mostly full) and a wide
+/// one-hot one (Allstate-shaped: 8 328 bins, 4 232 of them one-hot and
+/// mostly empty below the root). Setup prints what one run put on the wire — histogram builds,
+/// totals-only exchanges, lane blocks by mode and their mean occupancy,
+/// Step-1 and total MB — so the records/sec numbers can be read against
+/// bytes moved.
 fn bench_distributed(c: &mut Criterion) {
-    let (data, mirror) = generate_binned(Benchmark::Higgs, 20_000, 1);
-    let cfg = TrainConfig {
-        num_trees: 5,
-        max_depth: 5,
-        objective: default_objective(Benchmark::Higgs),
-        ..Default::default()
-    };
     let timeout = std::time::Duration::from_secs(60);
     let mut g = c.benchmark_group("distributed");
     g.sample_size(10);
-    g.throughput(Throughput::Elements(data.num_records() as u64));
-    g.bench_function("local", |b| b.iter(|| black_box(train(&data, &mirror, &cfg))));
-    for workers in [2usize, 4] {
-        let out = booster_dist::train_distributed_threads(&data, &mirror, &cfg, workers, timeout)
-            .expect("distributed run");
-        let hist_bytes = out.stats.comm.bytes_for_op(booster_dist::proto::OP_BUILD_HIST)
-            + out.stats.comm.bytes_for_op(booster_dist::proto::OP_HIST_DONE);
-        let builds = out.stats.bin_events.len().max(1) as u64;
-        eprintln!(
-            "distributed/workers={workers}: {} histogram builds, {} Step-1 payload bytes \
-             ({} per build), {} wire bytes total",
-            builds,
-            hist_bytes,
-            hist_bytes / builds,
-            out.stats.comm.wire_bytes(),
-        );
-        g.bench_function(BenchmarkId::new("channel_workers", workers), |b| {
-            b.iter(|| {
-                black_box(
-                    booster_dist::train_distributed_threads(&data, &mirror, &cfg, workers, timeout)
-                        .expect("distributed run"),
-                )
-            })
+    for (bench, records) in [(Benchmark::Higgs, 20_000), (Benchmark::Allstate, 10_000)] {
+        let (data, mirror) = generate_binned(bench, records, 1);
+        let cfg = TrainConfig {
+            num_trees: 5,
+            max_depth: 5,
+            objective: default_objective(bench),
+            ..Default::default()
+        };
+        let name = bench.name().to_lowercase();
+        g.throughput(Throughput::Elements(data.num_records() as u64));
+        g.bench_function(format!("{name}/local"), |b| {
+            b.iter(|| black_box(train(&data, &mirror, &cfg)))
         });
+        for workers in [2usize, 4] {
+            let out =
+                booster_dist::train_distributed_threads(&data, &mirror, &cfg, workers, timeout)
+                    .expect("distributed run");
+            let stats = &out.stats;
+            let step1_bytes: u64 = {
+                use booster_dist::proto::*;
+                [OP_BUILD_HIST, OP_HIST_DONE, OP_VERTEX_TOTAL, OP_TOTAL_DONE]
+                    .iter()
+                    .map(|&op| stats.comm.bytes_for_op(op))
+                    .sum()
+            };
+            let blocks: Vec<_> = stats.bin_events.iter().flat_map(|e| &e.blocks).collect();
+            let sparse = blocks.iter().filter(|b| b.sparse).count();
+            let occupied: u64 = blocks.iter().map(|b| u64::from(b.occupied)).sum();
+            eprintln!(
+                "distributed/{name}/workers={workers}: {} histogram builds + {} totals-only \
+                 exchanges, {} lane blocks ({sparse} sparse, mean occupancy {:.0}%), \
+                 Step-1 {:.2} MB, wire {:.2} MB",
+                stats.bin_events.len(),
+                stats.total_events.len(),
+                blocks.len(),
+                100.0 * occupied as f64 / (blocks.len().max(1) as u64 * data.total_bins()) as f64,
+                step1_bytes as f64 / 1e6,
+                stats.comm.wire_bytes() as f64 / 1e6,
+            );
+            g.bench_function(BenchmarkId::new(format!("{name}/channel_workers"), workers), |b| {
+                b.iter(|| {
+                    black_box(
+                        booster_dist::train_distributed_threads(
+                            &data, &mirror, &cfg, workers, timeout,
+                        )
+                        .expect("distributed run"),
+                    )
+                })
+            });
+        }
     }
     g.finish();
 }

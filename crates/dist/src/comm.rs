@@ -9,14 +9,14 @@
 //! keep per-op traffic counters ([`CommStats`]) that the simulator's
 //! traffic model is checked against.
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use booster_gbdt::preprocess::BinnedDataset;
-use booster_serve::frame::{read_frame_limit, write_frame, DIST_MAX_FRAME_BYTES};
+use booster_serve::frame::{read_frame_limit, write_frame_vectored, DIST_MAX_FRAME_BYTES};
 
 use crate::error::DistError;
 use crate::worker::{serve_channel, WorkerState};
@@ -69,6 +69,8 @@ pub(crate) fn op_label(op: u8) -> &'static str {
         OP_FOLD_LOSS => "fold_loss",
         OP_SHUTDOWN => "shutdown",
         OP_ERR => "err",
+        OP_VERTEX_TOTAL => "vertex_total",
+        OP_TOTAL_DONE => "total_done",
         _ => "other",
     }
 }
@@ -221,7 +223,8 @@ impl Drop for ChannelComm {
 
 struct TcpLink {
     reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    /// Unbuffered: every send is one whole frame, written at once.
+    writer: TcpStream,
 }
 
 /// TCP transport: one connection per worker, length-prefixed frames
@@ -245,7 +248,7 @@ impl TcpComm {
             stream.set_read_timeout(Some(timeout)).map_err(|e| DistError::Io(e.to_string()))?;
             let reader =
                 BufReader::new(stream.try_clone().map_err(|e| DistError::Io(e.to_string()))?);
-            links.push(TcpLink { reader, writer: BufWriter::new(stream) });
+            links.push(TcpLink { reader, writer: stream });
         }
         Ok(TcpComm { links, stats: CommStats::default() })
     }
@@ -258,14 +261,11 @@ impl Comm for TcpComm {
 
     fn send(&mut self, worker: usize, payload: &[u8]) -> Result<(), DistError> {
         self.stats.record(true, worker, payload);
-        let link = &mut self.links[worker];
-        write_frame(&mut link.writer, payload).and_then(|()| link.writer.flush()).map_err(|e| {
-            match e.kind() {
-                std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset => {
-                    DistError::Disconnected { worker }
-                }
-                _ => DistError::Io(e.to_string()),
+        write_frame_vectored(&mut self.links[worker].writer, payload).map_err(|e| match e.kind() {
+            std::io::ErrorKind::BrokenPipe | std::io::ErrorKind::ConnectionReset => {
+                DistError::Disconnected { worker }
             }
+            _ => DistError::Io(e.to_string()),
         })
     }
 

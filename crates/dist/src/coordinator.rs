@@ -7,8 +7,11 @@
 //! stopping — exactly as local training does, and only the record-heavy
 //! steps cross the wire. Step 1 is a chained fixed-order reduction in
 //! shard order (bit-identical to the sequential fold, see the crate
-//! docs), Step 3 concatenates per-worker stable partitions, Step 5 runs
-//! shard traversals in parallel and chains only the cheap loss fold.
+//! docs): occupancy-coded lane blocks ([`crate::lanes`]) for a vertex
+//! the engine will scan, the 72-byte total accumulator alone for one
+//! it will not. Step 3 concatenates per-worker stable partitions, Step 5
+//! runs shard traversals in parallel and chains only the cheap loss
+//! fold.
 //!
 //! Error handling: `StepExecutor` methods return plain values, so on
 //! the first transport or protocol failure the executor *poisons*
@@ -34,10 +37,32 @@ use crate::error::DistError;
 use crate::proto::{Msg, WireLanes};
 use crate::shard::ShardPlan;
 
-/// One Step-1 exchange as the traffic model sees it: how many workers
-/// the chain passed through and how many row ids were shipped.
+/// The lane block one chain link replied with, as the traffic model
+/// sees it. The same block crosses the wire again as the next link's
+/// carry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockShape {
+    /// Bins with a non-zero count.
+    pub occupied: u32,
+    /// Whether the encoder shipped occupied bins only.
+    pub sparse: bool,
+}
+
+/// One histogram build as the traffic model sees it: how many row ids
+/// were shipped and what each chain link sent back.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BinEvent {
+    /// Workers with at least one row at this vertex (chain length).
+    pub engaged: u32,
+    /// Total row ids shipped across the chain's requests.
+    pub rows_shipped: u64,
+    /// One entry per chain link, in shard order.
+    pub blocks: Vec<BlockShape>,
+}
+
+/// One totals-only exchange (a vertex at `max_depth`: no lanes cross).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TotalEvent {
     /// Workers with at least one row at this vertex (chain length).
     pub engaged: u32,
     /// Total row ids shipped across the chain's requests.
@@ -50,6 +75,8 @@ pub struct BinEvent {
 pub struct DistStats {
     /// One entry per histogram build, in engine order.
     pub bin_events: Vec<BinEvent>,
+    /// One entry per totals-only exchange, in engine order.
+    pub total_events: Vec<TotalEvent>,
     /// Coordinator-edge traffic totals.
     pub comm: CommStats,
 }
@@ -61,6 +88,8 @@ pub struct DistStats {
 pub struct DistSummary {
     /// Histogram-build exchanges the coordinator drove.
     pub hist_builds: usize,
+    /// Totals-only exchanges (vertices at `max_depth`).
+    pub vertex_totals: usize,
     /// Frames crossing the coordinator's edge, both directions.
     pub frames: u64,
     /// Payload bytes, both directions.
@@ -74,6 +103,7 @@ impl DistStats {
     pub fn summary(&self) -> DistSummary {
         DistSummary {
             hist_builds: self.bin_events.len(),
+            vertex_totals: self.total_events.len(),
             frames: self.comm.frames_sent + self.comm.frames_received,
             payload_bytes: self.comm.payload_bytes_sent + self.comm.payload_bytes_received,
             wire_bytes: self.comm.wire_bytes(),
@@ -97,6 +127,7 @@ struct Inner<C: Comm> {
     seq: u32,
     err: Option<DistError>,
     bin_events: Vec<BinEvent>,
+    total_events: Vec<TotalEvent>,
 }
 
 impl<C: Comm> Inner<C> {
@@ -161,7 +192,13 @@ impl<C: Comm + Send> DistExec<C> {
         }
         Ok(DistExec {
             plan,
-            inner: Mutex::new(Inner { comm, seq: 0, err: None, bin_events: Vec::new() }),
+            inner: Mutex::new(Inner {
+                comm,
+                seq: 0,
+                err: None,
+                bin_events: Vec::new(),
+                total_events: Vec::new(),
+            }),
         })
     }
 
@@ -213,37 +250,45 @@ impl<C: Comm + Send> DistExec<C> {
             // not turn a finished run into an error.
             let _ = inner.send(k, &Msg::Shutdown { seq });
         }
-        let stats = DistStats { bin_events: inner.bin_events, comm: inner.comm.stats().clone() };
+        let stats = DistStats {
+            bin_events: inner.bin_events,
+            total_events: inner.total_events,
+            comm: inner.comm.stats().clone(),
+        };
         Ok((inner.comm, stats))
     }
 
+    /// The Step-1 chain for a scanned vertex. Each link's reply is
+    /// validated as it is decoded and then spliced, still encoded, into
+    /// the next link's request; only the last one is scattered — once,
+    /// straight into `hist`. Returns what each link shipped.
     fn bin_chain(
         &self,
         inner: &mut Inner<C>,
-        pieces: &[(usize, Vec<u32>)],
+        pieces: Vec<(usize, Vec<u32>)>,
         hist: &mut NodeHistogram,
-    ) -> Result<(), DistError> {
+    ) -> Result<Vec<BlockShape>, DistError> {
         let nbins = hist.total_bins();
+        let mut blocks = Vec::with_capacity(pieces.len());
         let mut carry: Option<WireLanes> = None;
         let mut expect_pos = 0u64;
         for (k, local) in pieces {
             expect_pos += local.len() as u64;
             let seq = inner.next_seq();
-            let msg = Msg::BuildHist { seq, rows: local.clone(), carry: carry.take() };
-            match inner.exchange(*k, &msg)? {
+            let msg = Msg::BuildHist { seq, rows: local, carry: carry.take() };
+            match inner.exchange(k, &msg)? {
                 Msg::HistDone { lanes, .. } => {
-                    if lanes.grad.len() != nbins {
+                    if lanes.block.nbins() != nbins {
                         return Err(DistError::Protocol(format!(
                             "worker {k} returned {} bins, expected {nbins}",
-                            lanes.grad.len()
+                            lanes.block.nbins()
                         )));
                     }
-                    if lanes.pos != expect_pos {
-                        return Err(DistError::Protocol(format!(
-                            "worker {k} folded {} records, chain expected {expect_pos}",
-                            lanes.pos
-                        )));
-                    }
+                    check_pos(k, &lanes.acc, expect_pos)?;
+                    blocks.push(BlockShape {
+                        occupied: lanes.block.occupied() as u32,
+                        sparse: lanes.block.is_sparse(),
+                    });
                     carry = Some(lanes);
                 }
                 other => {
@@ -255,9 +300,38 @@ impl<C: Comm + Send> DistExec<C> {
             }
         }
         let lanes = carry.expect("bin_chain called with engaged workers");
-        let acc = LaneAccumulator::from_state(lanes.acc, lanes.pos);
-        hist.load_lanes(&lanes.grad, &lanes.hess, &lanes.count, acc.finish(), lanes.pos);
-        Ok(())
+        let (grad, hess, count) = hist.raw_lanes_mut();
+        lanes.block.scatter_into(grad, hess, count);
+        hist.set_totals(lanes.acc.finish(), lanes.acc.count());
+        Ok(blocks)
+    }
+
+    /// The Step-1 chain for a vertex nobody scans: row ids out, the
+    /// running accumulator out and back, no lanes.
+    fn total_chain(
+        &self,
+        inner: &mut Inner<C>,
+        pieces: Vec<(usize, Vec<u32>)>,
+    ) -> Result<GradPair, DistError> {
+        let mut acc = LaneAccumulator::new();
+        let mut expect_pos = 0u64;
+        for (k, local) in pieces {
+            expect_pos += local.len() as u64;
+            let seq = inner.next_seq();
+            match inner.exchange(k, &Msg::VertexTotal { seq, rows: local, acc })? {
+                Msg::TotalDone { acc: folded, .. } => {
+                    check_pos(k, &folded, expect_pos)?;
+                    acc = folded;
+                }
+                other => {
+                    return Err(DistError::Protocol(format!(
+                        "unexpected vertex-total reply op {}",
+                        other.op()
+                    )))
+                }
+            }
+        }
+        Ok(acc.finish())
     }
 
     fn poison(&self, inner: &mut Inner<C>, e: DistError) {
@@ -265,6 +339,17 @@ impl<C: Comm + Send> DistExec<C> {
             inner.err = Some(e);
         }
     }
+}
+
+/// A chain link must have folded exactly the rows shipped so far.
+fn check_pos(worker: usize, acc: &LaneAccumulator, expect: u64) -> Result<(), DistError> {
+    if acc.count() == expect {
+        return Ok(());
+    }
+    Err(DistError::Protocol(format!(
+        "worker {worker} folded {} records, chain expected {expect}",
+        acc.count()
+    )))
 }
 
 impl<C: Comm + Send> StepExecutor for DistExec<C> {
@@ -286,14 +371,40 @@ impl<C: Comm + Send> StepExecutor for DistExec<C> {
         }
         let engaged = pieces.len() as u32;
         let rows_shipped = rows.len() as u64;
-        match self.bin_chain(&mut inner, &pieces, hist) {
-            Ok(()) => {
-                inner.bin_events.push(BinEvent { engaged, rows_shipped });
+        match self.bin_chain(&mut inner, pieces, hist) {
+            Ok(blocks) => {
+                inner.bin_events.push(BinEvent { engaged, rows_shipped, blocks });
                 rows_shipped * data.num_fields() as u64
             }
             Err(e) => {
                 self.poison(&mut inner, e);
                 0
+            }
+        }
+    }
+
+    /// The coordinator's `grads` are never refreshed (Step 5 runs on
+    /// the workers), so the total is chained through the shards like a
+    /// histogram build — minus the histogram.
+    fn vertex_total(&self, rows: &[u32], _grads: &[GradPair]) -> GradPair {
+        let mut inner = self.inner.lock();
+        if inner.err.is_some() {
+            return GradPair::zero();
+        }
+        let pieces = self.plan.split_rows(rows);
+        let engaged = pieces.len() as u32;
+        match self.total_chain(&mut inner, pieces) {
+            Ok(total) => {
+                if engaged > 0 {
+                    inner
+                        .total_events
+                        .push(TotalEvent { engaged, rows_shipped: rows.len() as u64 });
+                }
+                total
+            }
+            Err(e) => {
+                self.poison(&mut inner, e);
+                GradPair::zero()
             }
         }
     }
@@ -317,7 +428,7 @@ impl<C: Comm + Send> StepExecutor for DistExec<C> {
         // concatenation of stable partitions *is* the global stable
         // partition.
         let mut pending: Vec<(usize, u32)> = Vec::with_capacity(pieces.len());
-        for (k, local) in &pieces {
+        for (k, local) in pieces {
             let seq = inner.next_seq();
             let msg = Msg::Part {
                 seq,
@@ -325,13 +436,13 @@ impl<C: Comm + Send> StepExecutor for DistExec<C> {
                 rule,
                 default_left,
                 absent: absent_bin,
-                rows: local.clone(),
+                rows: local,
             };
-            if let Err(e) = inner.send(*k, &msg) {
+            if let Err(e) = inner.send(k, &msg) {
                 self.poison(&mut inner, e);
                 return (Vec::new(), Vec::new());
             }
-            pending.push((*k, seq));
+            pending.push((k, seq));
         }
         let mut left = Vec::new();
         let mut right = Vec::new();

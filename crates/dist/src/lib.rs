@@ -27,7 +27,11 @@
 //!   global row order; the vertex total rides a resumable
 //!   four-lane accumulator (`LaneAccumulator`) whose state travels with
 //!   the lanes. Workers bin with local training's columnar kernels
-//!   (`NodeHistogram::bin_columns` over the shard's mirror).
+//!   (`NodeHistogram::bin_columns` over the shard's mirror). The lanes
+//!   cross the wire occupancy-coded ([`lanes`]): a bin with count 0 was
+//!   never added to, so leaving it out is exact. A vertex the engine
+//!   will not scan (a child at `max_depth`) ships no lanes at all —
+//!   only the accumulator makes the round (`StepExecutor::vertex_total`).
 //! - *Step 3*: each worker partitions its shard's rows with the stable
 //!   count-then-scatter kernel; concatenating the per-worker halves in
 //!   shard order *is* the global stable partition — fully parallel.
@@ -51,16 +55,18 @@ pub mod comm;
 pub mod coordinator;
 pub mod error;
 pub mod fault;
+pub mod lanes;
 pub mod proto;
 pub mod shard;
 pub mod worker;
 
 pub use comm::{ChannelComm, Comm, CommStats, FrameEvent, TcpComm};
 pub use coordinator::{
-    train_distributed, train_distributed_threads, train_distributed_with_eval, BinEvent, DistExec,
-    DistOutcome, DistStats, DistSummary,
+    train_distributed, train_distributed_threads, train_distributed_with_eval, BinEvent,
+    BlockShape, DistExec, DistOutcome, DistStats, DistSummary, TotalEvent,
 };
 pub use error::DistError;
 pub use fault::{FaultKind, FaultyComm};
+pub use lanes::LaneBlock;
 pub use shard::ShardPlan;
 pub use worker::{serve_worker_tcp, WorkerState};

@@ -2,10 +2,12 @@
 //!
 //! Framing (length prefix, op-byte namespace) is shared with the
 //! scoring service — see the table in `booster_serve::frame`. This
-//! module owns the payload layouts: little-endian integers, counts
-//! bounded against the remaining payload *before* allocating (a corrupt
-//! or hostile count cannot trigger a huge allocation), and a trailing-
-//! bytes check so every payload decodes to exactly one message.
+//! module owns the payload layouts (the histogram lane block inside
+//! the Step-1 messages is [`crate::lanes`]'s): little-endian integers,
+//! counts bounded against the remaining payload *before* allocating (a
+//! corrupt or hostile count cannot trigger a huge allocation), and a
+//! trailing-bytes check so every payload decodes to exactly one
+//! message.
 //!
 //! Every message carries a `seq` echo directly after the op byte. The
 //! coordinator increments it per request and verifies the echo on every
@@ -16,11 +18,13 @@
 use bytes::{Buf, BufMut};
 
 use booster_gbdt::gradients::{GradPair, Loss};
+use booster_gbdt::histogram::LaneAccumulator;
 use booster_gbdt::split::SplitRule;
 use booster_gbdt::tree::{Node, Tree};
 use booster_serve::frame::DIST_OP_BASE;
 
 use crate::error::DistError;
+use crate::lanes::LaneBlock;
 
 /// Op byte of [`Msg::Init`].
 pub const OP_INIT: u8 = DIST_OP_BASE;
@@ -44,62 +48,41 @@ pub const OP_FOLD_LOSS: u8 = DIST_OP_BASE + 8;
 pub const OP_SHUTDOWN: u8 = DIST_OP_BASE + 9;
 /// Op byte of [`Msg::Err`].
 pub const OP_ERR: u8 = DIST_OP_BASE + 10;
+/// Op byte of [`Msg::VertexTotal`] (Step-1 request for a vertex nobody
+/// scans: a gradient total, no lanes).
+pub const OP_VERTEX_TOTAL: u8 = DIST_OP_BASE + 11;
+/// Op byte of [`Msg::TotalDone`].
+pub const OP_TOTAL_DONE: u8 = DIST_OP_BASE + 12;
 
-/// Histogram lanes plus the suspended vertex-total accumulator — the
-/// payload that travels along the Step-1 reduction chain.
+/// Wire size of a suspended [`LaneAccumulator`]: four `(g, h)` partial
+/// lanes and the position.
+const ACC_BYTES: usize = 4 * 16 + 8;
+
+/// The occupancy-coded lane block plus the suspended vertex-total
+/// accumulator — the payload that travels along the Step-1 reduction
+/// chain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireLanes {
-    /// Per-bin `G` sums, all fields concatenated in offset order.
-    pub grad: Vec<f64>,
-    /// Per-bin `H` sums.
-    pub hess: Vec<f64>,
-    /// Per-bin record counts.
-    pub count: Vec<u64>,
-    /// The four partial lanes of the chained total accumulator.
-    pub acc: [GradPair; 4],
-    /// Records folded into the accumulator so far.
-    pub pos: u64,
+    /// The running histogram lanes, encoded (see [`crate::lanes`]).
+    pub block: LaneBlock,
+    /// The chained total accumulator: four partial lanes plus the
+    /// records folded so far.
+    pub acc: LaneAccumulator,
 }
 
 impl WireLanes {
-    /// Encoded size in bytes (for buffer pre-sizing and the traffic
-    /// model: `24 * nbins + 4 + 64 + 8`).
-    pub fn encoded_len(nbins: usize) -> usize {
-        4 + 24 * nbins + 64 + 8
+    fn encoded_len(&self) -> usize {
+        self.block.encoded_len() + ACC_BYTES
     }
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
-        buf.put_u32_le(self.grad.len() as u32);
-        for &g in &self.grad {
-            buf.put_f64_le(g);
-        }
-        for &h in &self.hess {
-            buf.put_f64_le(h);
-        }
-        for &c in &self.count {
-            buf.put_u64_le(c);
-        }
-        for gp in &self.acc {
-            buf.put_f64_le(gp.g);
-            buf.put_f64_le(gp.h);
-        }
-        buf.put_u64_le(self.pos);
+        self.block.encode_into(buf);
+        put_acc(buf, &self.acc);
     }
 
     fn decode_from(buf: &mut &[u8]) -> Result<WireLanes, DistError> {
-        need(buf, 4, "lane count")?;
-        let nbins = buf.get_u32_le() as usize;
-        need(buf, 24 * nbins + 64 + 8, "histogram lanes")?;
-        let grad: Vec<f64> = (0..nbins).map(|_| buf.get_f64_le()).collect();
-        let hess: Vec<f64> = (0..nbins).map(|_| buf.get_f64_le()).collect();
-        let count: Vec<u64> = (0..nbins).map(|_| buf.get_u64_le()).collect();
-        let mut acc = [GradPair::zero(); 4];
-        for gp in &mut acc {
-            gp.g = buf.get_f64_le();
-            gp.h = buf.get_f64_le();
-        }
-        let pos = buf.get_u64_le();
-        Ok(WireLanes { grad, hess, count, acc, pos })
+        let block = LaneBlock::decode_from(buf)?;
+        Ok(WireLanes { block, acc: get_acc(buf)? })
     }
 }
 
@@ -141,6 +124,25 @@ pub enum Msg {
         seq: u32,
         /// Updated running lanes.
         lanes: WireLanes,
+    },
+    /// Step 1 for a vertex nobody scans: fold the gradient pairs of
+    /// `rows` onto `acc` — the chain of [`Msg::BuildHist`] without the
+    /// lanes.
+    VertexTotal {
+        /// Request sequence number.
+        seq: u32,
+        /// Worker-local row ids to fold, ascending.
+        rows: Vec<u32>,
+        /// Running accumulator from the predecessor (fresh at chain
+        /// start).
+        acc: LaneAccumulator,
+    },
+    /// Vertex-total reply: the accumulator after this worker's fold.
+    TotalDone {
+        /// Echo of the request's sequence number.
+        seq: u32,
+        /// Updated running accumulator.
+        acc: LaneAccumulator,
     },
     /// Step 3: partition `rows` by one predicate.
     Part {
@@ -242,6 +244,17 @@ impl Msg {
                 buf.put_u32_le(*seq);
                 lanes.encode_into(&mut buf);
             }
+            Msg::VertexTotal { seq, rows, acc } => {
+                buf.put_u8(OP_VERTEX_TOTAL);
+                buf.put_u32_le(*seq);
+                put_rows(&mut buf, rows);
+                put_acc(&mut buf, acc);
+            }
+            Msg::TotalDone { seq, acc } => {
+                buf.put_u8(OP_TOTAL_DONE);
+                buf.put_u32_le(*seq);
+                put_acc(&mut buf, acc);
+            }
             Msg::Part { seq, field, rule, default_left, absent, rows } => {
                 buf.put_u8(OP_PART);
                 buf.put_u32_le(*seq);
@@ -306,10 +319,11 @@ impl Msg {
     fn encoded_hint(&self) -> usize {
         match self {
             Msg::BuildHist { rows, carry, .. } => {
-                14 + rows.len() * 4
-                    + carry.as_ref().map_or(0, |l| WireLanes::encoded_len(l.grad.len()))
+                10 + rows.len() * 4 + carry.as_ref().map_or(0, WireLanes::encoded_len)
             }
-            Msg::HistDone { lanes, .. } => 5 + WireLanes::encoded_len(lanes.grad.len()),
+            Msg::HistDone { lanes, .. } => 5 + lanes.encoded_len(),
+            Msg::VertexTotal { rows, .. } => 9 + rows.len() * 4 + ACC_BYTES,
+            Msg::TotalDone { .. } => 5 + ACC_BYTES,
             Msg::Part { rows, .. } => 32 + rows.len() * 4,
             Msg::PartDone { left, right, .. } => 16 + (left.len() + right.len()) * 4,
             Msg::Traverse { tree, .. } => 16 + tree.nodes().len() * 19,
@@ -353,6 +367,11 @@ impl Msg {
                 Msg::BuildHist { seq, rows, carry }
             }
             OP_HIST_DONE => Msg::HistDone { seq, lanes: WireLanes::decode_from(&mut buf)? },
+            OP_VERTEX_TOTAL => {
+                let rows = get_rows(&mut buf)?;
+                Msg::VertexTotal { seq, rows, acc: get_acc(&mut buf)? }
+            }
+            OP_TOTAL_DONE => Msg::TotalDone { seq, acc: get_acc(&mut buf)? },
             OP_PART => {
                 need(&buf, 4, "field")?;
                 let field = buf.get_u32_le();
@@ -442,6 +461,8 @@ impl Msg {
             Msg::InitDone { .. } => OP_INIT_DONE,
             Msg::BuildHist { .. } => OP_BUILD_HIST,
             Msg::HistDone { .. } => OP_HIST_DONE,
+            Msg::VertexTotal { .. } => OP_VERTEX_TOTAL,
+            Msg::TotalDone { .. } => OP_TOTAL_DONE,
             Msg::Part { .. } => OP_PART,
             Msg::PartDone { .. } => OP_PART_DONE,
             Msg::Traverse { .. } => OP_TRAVERSE,
@@ -459,6 +480,8 @@ impl Msg {
             | Msg::InitDone { seq, .. }
             | Msg::BuildHist { seq, .. }
             | Msg::HistDone { seq, .. }
+            | Msg::VertexTotal { seq, .. }
+            | Msg::TotalDone { seq, .. }
             | Msg::Part { seq, .. }
             | Msg::PartDone { seq, .. }
             | Msg::Traverse { seq, .. }
@@ -496,6 +519,25 @@ fn get_rows(buf: &mut &[u8]) -> Result<Vec<u32>, DistError> {
     Ok((0..n).map(|_| buf.get_u32_le()).collect())
 }
 
+fn put_acc(buf: &mut Vec<u8>, acc: &LaneAccumulator) {
+    let (lanes, pos) = acc.state();
+    for gp in lanes {
+        buf.put_f64_le(gp.g);
+        buf.put_f64_le(gp.h);
+    }
+    buf.put_u64_le(pos);
+}
+
+fn get_acc(buf: &mut &[u8]) -> Result<LaneAccumulator, DistError> {
+    need(buf, ACC_BYTES, "total accumulator")?;
+    let mut lanes = [GradPair::zero(); 4];
+    for gp in &mut lanes {
+        gp.g = buf.get_f64_le();
+        gp.h = buf.get_f64_le();
+    }
+    Ok(LaneAccumulator::from_state(lanes, buf.get_u64_le()))
+}
+
 fn put_rule(buf: &mut Vec<u8>, rule: SplitRule) {
     match rule {
         SplitRule::Numeric { threshold_bin } => {
@@ -522,19 +564,30 @@ fn get_rule(buf: &mut &[u8]) -> Result<SplitRule, DistError> {
 mod tests {
     use super::*;
 
-    fn sample_lanes() -> WireLanes {
-        WireLanes {
-            grad: vec![0.5, -1.25, 3.0],
-            hess: vec![1.0, 2.0, 0.5],
-            count: vec![4, 0, 7],
-            acc: [
+    fn sample_acc() -> LaneAccumulator {
+        LaneAccumulator::from_state(
+            [
                 GradPair::new(0.1, 0.2),
                 GradPair::new(-0.3, 0.4),
                 GradPair::zero(),
                 GradPair::new(5.0, 6.0),
             ],
-            pos: 11,
+            11,
+        )
+    }
+
+    /// A dense block (3 of 3 bins occupied) or a sparse one (2 of 40).
+    fn sample_lanes(sparse: bool) -> WireLanes {
+        let n = if sparse { 40 } else { 3 };
+        let (mut grad, mut hess, mut count) = (vec![0.0; n], vec![0.0; n], vec![0u64; n]);
+        (grad[0], hess[0], count[0]) = (0.5, 1.0, 4);
+        (grad[n - 1], hess[n - 1], count[n - 1]) = (3.0, 0.5, 7);
+        if !sparse {
+            (grad[1], hess[1], count[1]) = (-1.25, 2.0, 1);
         }
+        let block = LaneBlock::from_lanes(&grad, &hess, &count);
+        assert_eq!(block.is_sparse(), sparse);
+        WireLanes { block, acc: sample_acc() }
     }
 
     fn sample_tree() -> Tree {
@@ -565,8 +618,13 @@ mod tests {
             Msg::Init { seq: 2, loss: Loss::Quantile { alpha: 0.9 }, base_score: -1.0 },
             Msg::InitDone { seq: 2, records: 1234 },
             Msg::BuildHist { seq: 3, rows: vec![0, 2, 5], carry: None },
-            Msg::BuildHist { seq: 4, rows: vec![], carry: Some(sample_lanes()) },
-            Msg::HistDone { seq: 4, lanes: sample_lanes() },
+            Msg::BuildHist { seq: 4, rows: vec![], carry: Some(sample_lanes(false)) },
+            Msg::BuildHist { seq: 4, rows: vec![7], carry: Some(sample_lanes(true)) },
+            Msg::HistDone { seq: 4, lanes: sample_lanes(false) },
+            Msg::HistDone { seq: 4, lanes: sample_lanes(true) },
+            Msg::VertexTotal { seq: 10, rows: vec![1, 4], acc: LaneAccumulator::new() },
+            Msg::VertexTotal { seq: 11, rows: vec![], acc: sample_acc() },
+            Msg::TotalDone { seq: 11, acc: sample_acc() },
             Msg::Part {
                 seq: 5,
                 field: 7,

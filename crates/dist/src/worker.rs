@@ -14,7 +14,7 @@
 //! back as [`Msg::Err`] frames, which the coordinator converts into
 //! [`DistError::Remote`].
 
-use std::io::{BufReader, BufWriter, Write};
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 
 use booster_gbdt::columnar::ColumnarMirror;
@@ -24,9 +24,10 @@ use booster_gbdt::partition::partition_rows;
 use booster_gbdt::preprocess::BinnedDataset;
 use booster_gbdt::tree::Tree;
 use booster_gbdt::walk::TreeWalk;
-use booster_serve::frame::{read_frame_limit, write_frame, DIST_MAX_FRAME_BYTES};
+use booster_serve::frame::{read_frame_limit, write_frame_vectored, DIST_MAX_FRAME_BYTES};
 
 use crate::error::DistError;
+use crate::lanes::LaneBlock;
 use crate::proto::{Msg, WireLanes};
 
 /// One worker's shard and mutable training state.
@@ -93,6 +94,11 @@ impl WorkerState {
             Msg::BuildHist { seq, rows, carry } => {
                 let lanes = self.build_hist(&rows, carry)?;
                 Ok(Msg::HistDone { seq, lanes })
+            }
+            Msg::VertexTotal { seq, rows, mut acc } => {
+                self.require_init()?;
+                self.fold_total(&rows, &mut acc)?;
+                Ok(Msg::TotalDone { seq, acc })
             }
             Msg::Part { seq, field, rule, default_left, absent, rows } => {
                 self.check_rows(&rows)?;
@@ -162,34 +168,43 @@ impl WorkerState {
         self.loss.ok_or_else(|| DistError::Protocol("worker not initialised".into()))
     }
 
+    /// Continue the chained vertex total over this shard's `rows`: the
+    /// whole of a [`Msg::VertexTotal`] exchange, and the total half of
+    /// a histogram build.
+    fn fold_total(&self, rows: &[u32], acc: &mut LaneAccumulator) -> Result<(), DistError> {
+        self.check_rows(rows)?;
+        for &r in rows {
+            acc.push(self.grads[r as usize]);
+        }
+        Ok(())
+    }
+
     /// Step 1 on the shard: continue the running histogram (or start it)
     /// by binning this shard's rows *into* it — the binning kernels
     /// accumulate and never zero, so the chain reproduces the global
-    /// row-order fold bit for bit. The vertex-total accumulator resumes
-    /// from the carried `(lanes, pos)` state.
+    /// row-order fold bit for bit. The carried block is scattered
+    /// straight into the shard histogram's lanes and the reply encoded
+    /// straight out of them; the vertex-total accumulator resumes from
+    /// the carried `(lanes, pos)` state.
     fn build_hist(
         &mut self,
         rows: &[u32],
         carry: Option<WireLanes>,
     ) -> Result<WireLanes, DistError> {
         self.require_init()?;
-        self.check_rows(rows)?;
-        let nbins = self.hist.total_bins();
-        let mut acc = match &carry {
-            Some(c) => {
-                if c.grad.len() != nbins {
-                    return Err(DistError::Protocol(format!(
-                        "carried lanes have {} bins, shard histogram has {nbins}",
-                        c.grad.len()
-                    )));
-                }
-                LaneAccumulator::from_state(c.acc, c.pos)
-            }
-            None => LaneAccumulator::new(),
-        };
+        let mut acc = carry.as_ref().map_or_else(LaneAccumulator::new, |c| c.acc);
+        self.fold_total(rows, &mut acc)?;
         match carry {
             Some(c) => {
-                self.hist.load_lanes(&c.grad, &c.hess, &c.count, GradPair::zero(), 0);
+                let nbins = self.hist.total_bins();
+                if c.block.nbins() != nbins {
+                    return Err(DistError::Protocol(format!(
+                        "carried lanes have {} bins, shard histogram has {nbins}",
+                        c.block.nbins()
+                    )));
+                }
+                let (grad, hess, count) = self.hist.raw_lanes_mut();
+                c.block.scatter_into(grad, hess, count);
             }
             None => self.hist.reset(),
         }
@@ -199,18 +214,8 @@ impl WorkerState {
         let n = self.data.num_records();
         let identity = rows.len() == n && rows.iter().enumerate().all(|(i, &r)| r == i as u32);
         self.hist.bin_columns(&self.mirror, (!identity).then_some(rows), &self.grads);
-        for &r in rows {
-            acc.push(self.grads[r as usize]);
-        }
         let (grad, hess, count) = self.hist.raw_lanes();
-        let (acc_lanes, pos) = acc.state();
-        Ok(WireLanes {
-            grad: grad.to_vec(),
-            hess: hess.to_vec(),
-            count: count.to_vec(),
-            acc: acc_lanes,
-            pos,
-        })
+        Ok(WireLanes { block: LaneBlock::from_lanes(grad, hess, count), acc })
     }
 
     /// Step 5 on the shard: apply the finished tree to every record
@@ -270,18 +275,14 @@ pub fn serve_worker_tcp(shard: BinnedDataset, listener: TcpListener) -> std::io:
     serve_stream(WorkerState::new(shard), stream)
 }
 
-fn serve_stream(mut state: WorkerState, stream: TcpStream) -> std::io::Result<()> {
+fn serve_stream(mut state: WorkerState, mut stream: TcpStream) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     loop {
         let Some(payload) = read_frame_limit(&mut reader, DIST_MAX_FRAME_BYTES)? else {
             return Ok(()); // coordinator hung up
         };
         match state.handle_payload(&payload) {
-            Some(reply) => {
-                write_frame(&mut writer, &reply)?;
-                writer.flush()?;
-            }
+            Some(reply) => write_frame_vectored(&mut stream, &reply)?,
             None => return Ok(()),
         }
     }
@@ -297,6 +298,14 @@ mod tests {
         booster_datagen::generate_binned(booster_datagen::Benchmark::Iot, 32, 7).0
     }
 
+    /// A block's lanes, decoded.
+    fn lanes_of(block: &LaneBlock) -> (Vec<f64>, Vec<f64>, Vec<u64>) {
+        let n = block.nbins();
+        let (mut g, mut h, mut c) = (vec![1.0; n], vec![1.0; n], vec![1u64; n]);
+        block.scatter_into(&mut g, &mut h, &mut c);
+        (g, h, c)
+    }
+
     #[test]
     fn init_then_hist_round_trip() {
         let mut w = WorkerState::new(tiny_shard());
@@ -309,8 +318,9 @@ mod tests {
         match reply {
             Msg::HistDone { seq, lanes } => {
                 assert_eq!(seq, 2);
-                assert_eq!(lanes.pos, 32);
-                assert_eq!(lanes.count.iter().sum::<u64>() % 32, 0);
+                assert_eq!(lanes.acc.count(), 32);
+                let (_, _, count) = lanes_of(&lanes.block);
+                assert_eq!(count.iter().sum::<u64>(), 32 * w.data.num_fields() as u64);
             }
             other => panic!("unexpected reply {other:?}"),
         }
@@ -322,6 +332,31 @@ mod tests {
         let req = Msg::BuildHist { seq: 9, rows: vec![0], carry: None }.encode();
         let reply = Msg::decode(&w.handle_payload(&req).unwrap()).unwrap();
         assert!(matches!(reply, Msg::Err { seq: 9, .. }));
+        let req = Msg::VertexTotal { seq: 10, rows: vec![0], acc: LaneAccumulator::new() };
+        let reply = Msg::decode(&w.handle_payload(&req.encode()).unwrap()).unwrap();
+        assert!(matches!(reply, Msg::Err { seq: 10, .. }));
+    }
+
+    /// A totals-only chain cut anywhere folds to the bits of the
+    /// one-shot reduction a local histogram build ends with.
+    #[test]
+    fn chained_vertex_total_matches_the_local_reduction() {
+        let mut w = initialised(tiny_shard());
+        let rows: Vec<u32> = (0..32).filter(|r| r % 3 != 1).collect();
+        let want = booster_gbdt::histogram::sum_grad_pairs(&rows, &w.grads);
+        for cut in [0, 1, 7, rows.len()] {
+            let mut acc = LaneAccumulator::new();
+            for (seq, piece) in [&rows[..cut], &rows[cut..]].into_iter().enumerate() {
+                let req = Msg::VertexTotal { seq: seq as u32, rows: piece.to_vec(), acc };
+                match Msg::decode(&w.handle_payload(&req.encode()).unwrap()).unwrap() {
+                    Msg::TotalDone { acc: folded, .. } => acc = folded,
+                    other => panic!("unexpected reply {other:?}"),
+                }
+            }
+            assert_eq!(acc.count(), rows.len() as u64);
+            let got = acc.finish();
+            assert_eq!((got.g.to_bits(), got.h.to_bits()), (want.g.to_bits(), want.h.to_bits()));
+        }
     }
 
     #[test]
@@ -332,6 +367,9 @@ mod tests {
 
         let req = Msg::BuildHist { seq: 2, rows: vec![999], carry: None }.encode();
         let reply = Msg::decode(&w.handle_payload(&req).unwrap()).unwrap();
+        assert!(matches!(reply, Msg::Err { seq: 2, .. }));
+        let req = Msg::VertexTotal { seq: 2, rows: vec![999], acc: LaneAccumulator::new() };
+        let reply = Msg::decode(&w.handle_payload(&req.encode()).unwrap()).unwrap();
         assert!(matches!(reply, Msg::Err { seq: 2, .. }));
 
         let req = Msg::Part {
@@ -378,9 +416,10 @@ mod tests {
             match Msg::decode(&w.handle_payload(&req).unwrap()).unwrap() {
                 Msg::HistDone { lanes, .. } => {
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&lanes.grad), bits(grad), "rows {rows:?}");
-                    assert_eq!(bits(&lanes.hess), bits(hess), "rows {rows:?}");
-                    assert_eq!(lanes.count, count, "rows {rows:?}");
+                    let (g, h, c) = lanes_of(&lanes.block);
+                    assert_eq!(bits(&g), bits(grad), "rows {rows:?}");
+                    assert_eq!(bits(&h), bits(hess), "rows {rows:?}");
+                    assert_eq!(c, count, "rows {rows:?}");
                 }
                 other => panic!("unexpected reply {other:?}"),
             }

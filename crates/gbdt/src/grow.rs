@@ -16,8 +16,14 @@
 //! histograms for the best split (Step 2), partition its relevant records
 //! by the chosen predicate (Step 3), then histogram-bin the smaller child
 //! explicitly and derive the larger sibling by subtraction (Step 1, the
-//! smaller-child optimization). They differ only in *which* frontier
-//! vertex is expanded next. This module therefore implements a single
+//! smaller-child optimization). Table I bins a vertex *in order to split
+//! it*, so Step 1 builds only what Step 2 reads: children at `max_depth`
+//! are never scanned, get no histograms at all, and take their leaf
+//! weights from gradient totals — the smaller child's reduced directly
+//! ([`StepExecutor::vertex_total`]), the larger one's by the same
+//! subtraction, bit for bit what the histograms would have carried. On
+//! depth-6 trees that is half of all child builds. The orders differ only
+//! in *which* frontier vertex is expanded next. This module therefore implements a single
 //! engine: a frontier of split-ready vertices plus a [`GrowthStrategy`]
 //! that picks the expansion order — depth-first ([`GrowthStrategy::VertexWise`]),
 //! breadth-first ([`GrowthStrategy::LevelWise`]), or a best-first priority
@@ -731,24 +737,24 @@ impl TreeGrower<'_> {
                 self.frontier.push(Pending { node, depth, rows, hist, split, bin, seq });
             }
             None => {
-                self.finalize_leaf(node, depth, rows.len(), &hist, bin, scanned);
+                self.finalize_leaf(node, depth, rows.len(), hist.total(), bin, scanned);
                 self.pool.release(hist);
             }
         }
     }
 
-    /// Set a vertex's leaf weight and (in per-vertex modes) log its
-    /// phase descriptor.
+    /// Set a vertex's leaf weight from its gradient total and (in
+    /// per-vertex modes) log its phase descriptor.
     fn finalize_leaf(
         &mut self,
         node: u32,
         depth: u32,
         n_reaching: usize,
-        hist: &NodeHistogram,
+        total: GradPair,
         bin: Option<BinPhase>,
         scanned: bool,
     ) {
-        let w = leaf_weight(hist.total(), self.cfg.split.lambda) * self.cfg.learning_rate;
+        let w = leaf_weight(total, self.cfg.split.lambda) * self.cfg.learning_rate;
         self.nodes[node as usize] = Node::Leaf { weight: w };
         if self.collect() && !self.dense() {
             self.phases.push(NodePhase {
@@ -759,9 +765,11 @@ impl TreeGrower<'_> {
         }
     }
 
-    /// Expand one frontier vertex: partition its records (Step 3), grow
-    /// its two children, bin the smaller child and derive the larger by
-    /// subtraction (Step 1), then admit both children.
+    /// Expand one frontier vertex: partition its records (Step 3) and
+    /// grow its two children. Children that will be scanned get
+    /// histograms — the smaller one binned, the larger by subtraction
+    /// (Step 1) — and are admitted; children at `max_depth` are
+    /// finalized from their gradient totals with no histogram at all.
     fn expand(&mut self, p: Pending, mut level: Option<&mut LevelAgg>) {
         let Pending { node, depth, rows, hist, split, bin, .. } = p;
         let field = split.field as usize;
@@ -813,11 +821,29 @@ impl TreeGrower<'_> {
         };
         self.leaves += 1;
 
-        // ---- Step 1 at the children: bin only the smaller child
-        // explicitly; derive the larger by subtraction. ----
+        // ---- Step 1 at the children. A histogram exists to be
+        // scanned: children at `max_depth` become leaves whatever their
+        // bins hold, and a leaf weight reads the vertex total alone. ----
         let left_smaller = lrows.len() <= rrows.len();
         let (srows, brows) = if left_smaller { (&lrows, &rrows) } else { (&rrows, &lrows) };
+        if depth + 1 >= self.cfg.max_depth {
+            // The smaller child's total is the reduction its histogram
+            // build would have run, the larger one's the subtraction
+            // `subtract_from_into` would have made: the same bits, with
+            // no bins behind them.
+            let t1 = Instant::now();
+            let small = self.exec.vertex_total(srows, self.grads);
+            let big = hist.total() - small;
+            lap("step1_vertex_total", t1, &mut self.times.step1);
+            self.pool.release(hist);
+            let (ltotal, rtotal) = if left_smaller { (small, big) } else { (big, small) };
+            self.finalize_leaf(left, depth + 1, lrows.len(), ltotal, None, false);
+            self.finalize_leaf(right, depth + 1, rrows.len(), rtotal, None, false);
+            return;
+        }
 
+        // Scanned children: bin only the smaller one explicitly; derive
+        // the larger by subtraction.
         let t1 = Instant::now();
         let mut small_hist = self.pool.acquire(self.data);
         let updates =
@@ -948,7 +974,7 @@ impl TreeGrower<'_> {
         rest.sort_by_key(|p| p.seq);
         for p in rest {
             let Pending { node, depth, rows, hist, bin, .. } = p;
-            self.finalize_leaf(node, depth, rows.len(), &hist, bin, true);
+            self.finalize_leaf(node, depth, rows.len(), hist.total(), bin, true);
             self.pool.release(hist);
         }
         (self.nodes, self.phases)
@@ -1320,6 +1346,48 @@ mod tests {
                 let (wl, _) = tl.traverse_binned(&data, r);
                 let (wv, _) = tv.traverse_binned(&data, r);
                 assert!((wl - wv).abs() < 1e-9, "record {r}: {wl} vs {wv}");
+            }
+        }
+    }
+
+    /// Children at `max_depth` get no histogram: each leaf's weight
+    /// must still come from the gradient total of exactly the records
+    /// that reach it — the smaller child's reduced directly, the larger
+    /// one's by subtraction from the parent.
+    #[test]
+    fn leaves_at_max_depth_weigh_exactly_their_own_records() {
+        let (data, mirror) = xor_dataset(1_200);
+        let growths = [
+            GrowthStrategy::VertexWise,
+            GrowthStrategy::LevelWise,
+            GrowthStrategy::LeafWise { max_leaves: 8 },
+        ];
+        for growth in growths {
+            for max_depth in [1u32, 3] {
+                let cfg = TrainConfig { num_trees: 1, max_depth, growth, ..Default::default() };
+                let (model, _) = train(&data, &mirror, &cfg);
+                let tree = &model.trees[0];
+                assert_eq!(tree.depth(), max_depth, "{growth:?}: the tree must reach max_depth");
+                // Squared error from the base score: g = base - y, h = 1.
+                let mut totals: std::collections::BTreeMap<u64, (GradPair, u32)> =
+                    Default::default();
+                for r in 0..data.num_records() {
+                    let (w, depth) = tree.traverse_binned(&data, r);
+                    let g = model.base_score - f64::from(data.labels()[r]);
+                    let leaf = totals.entry(w.to_bits()).or_insert((GradPair::zero(), depth));
+                    leaf.0 += GradPair::new(g, 1.0);
+                }
+                assert_eq!(totals.len(), tree.num_leaves(), "{growth:?}: distinct leaf weights");
+                assert!(totals.values().any(|&(_, depth)| depth == max_depth));
+                for (&bits, &(total, depth)) in &totals {
+                    let want = leaf_weight(total, cfg.split.lambda) * cfg.learning_rate;
+                    let got = f64::from_bits(bits);
+                    assert!(
+                        (got - want).abs() <= 1e-12 * (1.0 + want.abs()),
+                        "{growth:?}, max_depth {max_depth}: leaf at depth {depth} weighs {got}, \
+                         its records say {want}"
+                    );
+                }
             }
         }
     }

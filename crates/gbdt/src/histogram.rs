@@ -392,8 +392,8 @@ impl NodeHistogram {
 
     /// Borrow the three flat SoA lanes (all fields concatenated in
     /// offset order). This is the wire view: a distributed worker
-    /// serializes exactly these slices, and the peer rebuilds the
-    /// histogram with [`Self::load_lanes`].
+    /// encodes exactly these slices, and the peer writes them back
+    /// through [`Self::raw_lanes_mut`].
     pub fn raw_lanes(&self) -> (&[f64], &[f64], &[u64]) {
         (&self.grad, &self.hess, &self.count)
     }
@@ -404,28 +404,12 @@ impl NodeHistogram {
         &self.offsets
     }
 
-    /// Overwrite every lane and the totals from flat slices (the decode
-    /// half of [`Self::raw_lanes`]). The shape — and therefore the
-    /// offsets — is unchanged; only the contents are replaced.
-    ///
-    /// # Panics
-    /// Panics if a slice length differs from this histogram's bin count.
-    pub fn load_lanes(
-        &mut self,
-        grad: &[f64],
-        hess: &[f64],
-        count: &[u64],
-        total: GradPair,
-        total_count: u64,
-    ) {
-        assert_eq!(grad.len(), self.grad.len(), "grad lane length mismatch");
-        assert_eq!(hess.len(), self.hess.len(), "hess lane length mismatch");
-        assert_eq!(count.len(), self.count.len(), "count lane length mismatch");
-        self.grad.copy_from_slice(grad);
-        self.hess.copy_from_slice(hess);
-        self.count.copy_from_slice(count);
-        self.total = total;
-        self.total_count = total_count;
+    /// The three flat lanes, writable (the decode half of
+    /// [`Self::raw_lanes`]): a wire decoder scatters straight into
+    /// them. The shape — and therefore the offsets — cannot change, and
+    /// the vertex totals are left alone ([`Self::set_totals`]).
+    pub fn raw_lanes_mut(&mut self) -> (&mut [f64], &mut [f64], &mut [u64]) {
+        (&mut self.grad, &mut self.hess, &mut self.count)
     }
 
     /// Overwrite the vertex totals, leaving the bins untouched. The

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use crate::columnar::{ColumnRef, ColumnarMirror};
 use crate::gradients::{GradPair, Loss, Objective};
 use crate::grow::{grow_forest_with_eval, GrowthStrategy};
-use crate::histogram::NodeHistogram;
+use crate::histogram::{sum_grad_pairs, NodeHistogram};
 use crate::metrics::EvalMetric;
 use crate::partition::partition_rows;
 use crate::phases::PhaseLog;
@@ -45,6 +45,13 @@ use crate::walk::TreeWalk;
 /// (Fig 6); the rayon backend in [`crate::parallel`] reproduces the
 /// multicore software implementation of Section II-D (record-partitioned
 /// private histograms + reduction).
+///
+/// Histograms exist for scanned vertices only: the engine calls
+/// [`Self::bin_records`] for a tree's root and for the smaller child of
+/// a split whose children Step 2 will scan. Children at `max_depth`
+/// become leaves unscanned, and a leaf weight reads the vertex's
+/// gradient total alone — [`Self::vertex_total`] is the one other
+/// Step-1 entry point, and it touches no bins.
 pub trait StepExecutor: Sync {
     /// Step 1: bin `rows` into `hist`; returns the number of histogram
     /// updates performed. Backends may stream either the row-major
@@ -58,6 +65,16 @@ pub trait StepExecutor: Sync {
         grads: &[GradPair],
         hist: &mut NodeHistogram,
     ) -> u64;
+
+    /// Step 1 for a vertex nobody will scan: the gradient total of
+    /// `rows`, bit for bit the `hist.total()` that [`Self::bin_records`]
+    /// would leave behind for the same rows. The default is the
+    /// four-lane reduction every local backend's build ends with
+    /// ([`sum_grad_pairs`]); only a backend that does not hold the
+    /// gradients (distributed training) overrides it.
+    fn vertex_total(&self, rows: &[u32], grads: &[GradPair]) -> GradPair {
+        sum_grad_pairs(rows, grads)
+    }
 
     /// Step 3: partition `rows` by a predicate over a single-field column.
     /// Must be order-preserving. `field` names the column's field index —
@@ -432,7 +449,11 @@ impl StepTimes {
 /// Work counters (architecture-independent operation counts).
 #[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct WorkCounters {
-    /// Records explicitly histogram-binned (Step 1).
+    /// Records explicitly histogram-binned (Step 1): every root's, plus
+    /// the smaller child's of every split whose children are scanned.
+    /// Children at `max_depth` are never binned — only their gradient
+    /// totals are reduced ([`StepExecutor::vertex_total`]), which
+    /// updates no bin and is not counted here.
     pub step1_records: u64,
     /// Histogram bin updates = records binned × fields (Step 1).
     pub step1_updates: u64,

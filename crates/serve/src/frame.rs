@@ -28,11 +28,12 @@
 //! ```
 //!
 //! The distributed trainer (`booster-dist`) shares this codec: same
-//! framing, op bytes `16..=26` ([`DIST_OP_BASE`]), larger payload bound
+//! framing, op bytes `16..=28` ([`DIST_OP_BASE`]), larger payload bound
 //! ([`DIST_MAX_FRAME_BYTES`] — histogram lanes outgrow scoring
 //! requests). Every distributed payload carries a `seq u32` echo right
 //! after the op byte so a duplicated or dropped frame desynchronizes
-//! *detectably*. Payload layouts (encoded in `booster-dist::proto`):
+//! *detectably*. Payload layouts (encoded in `booster-dist::proto`; the
+//! lane block in `booster-dist::lanes`):
 //!
 //! ```text
 //! init       : op=16 | seq u32 | loss tag u8 (+ alpha f64 for quantile)
@@ -41,9 +42,14 @@
 //! build_hist : op=18 | seq u32 | nrows u32 | nrows × u32 (worker-local)
 //!              | carry u8: 0 = start from zero, 1 = lanes follow
 //!              | [lanes] (see hist_done)
-//! hist_done  : op=19 | seq u32 | lanes: nbins u32 | nbins × f64 (G)
-//!              | nbins × f64 (H) | nbins × u64 (count)
-//!              | 4 × (f64, f64) accumulator lanes | position u64
+//! hist_done  : op=19 | seq u32 | lanes: block | acc
+//!   block    : nbins u32 | mode u8
+//!              | mode 0 (dense): nbins × f64 (G) | nbins × f64 (H)
+//!                | nbins × u64 (count)
+//!              | mode 1 (sparse): nnz u32 | ⌈nbins/8⌉-byte occupancy
+//!                bitmap (bit i%8 of byte i/8) | nnz × (g f64, h f64,
+//!                count u64), ascending bin order, every count > 0
+//!   acc      : 4 × (f64, f64) accumulator lanes | position u64
 //! part       : op=20 | seq u32 | field u32 | rule tag u8 + operand u32
 //!              | default_left u8 | absent u32 | nrows u32 | nrows × u32
 //! part_done  : op=21 | seq u32 | nleft u32 | nleft × u32
@@ -56,7 +62,15 @@
 //! fold_loss  : op=24 | seq u32 | carry f64      (both directions)
 //! shutdown   : op=25 | seq u32                  (no reply)
 //! err        : op=26 | seq u32 | len u32 | len × utf8 byte
+//! vtx_total  : op=27 | seq u32 | nrows u32 | nrows × u32 (worker-local)
+//!              | acc                (a vertex nobody scans: no lanes)
+//! total_done : op=28 | seq u32 | acc
 //! ```
+//!
+//! A lane block's mode is the encoder's choice per block: a bin whose
+//! count is 0 was never added to, so its `G`/`H` are `+0.0` and
+//! omitting it is exact; sparse is shipped when that is at least 25 %
+//! smaller than dense.
 
 use bytes::{Buf, BufMut};
 use std::io::{self, Read, Write};
@@ -91,7 +105,7 @@ pub const OP_INTROSPECT: u8 = 14;
 /// utf8 byte`, the Prometheus-style registry dump.
 pub const OP_METRICS: u8 = 15;
 
-/// First op byte of the distributed-training range (`16..=26`; the
+/// First op byte of the distributed-training range (`16..=28`; the
 /// payloads are documented in the module header and encoded in
 /// `booster-dist::proto`). Scoring ops stay below this and the two
 /// protocols can never be confused on a misdirected connection.
@@ -146,6 +160,24 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
     // No flush here: callers own the buffering policy (and flush once
     // per protocol exchange).
+}
+
+/// [`write_frame`] for an *unbuffered* writer that sends one frame per
+/// exchange (the distributed transport): prefix and payload leave in
+/// one vectored write. Through a `BufWriter`, a payload above its
+/// 8 KiB buffer forces the 4-byte prefix out as a write — and, on a
+/// `TCP_NODELAY` socket, a segment — of its own before the payload.
+pub fn write_frame_vectored(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    debug_assert!(payload.len() <= DIST_MAX_FRAME_BYTES);
+    let len = (payload.len() as u32).to_le_bytes();
+    let sent = w.write_vectored(&[io::IoSlice::new(&len), io::IoSlice::new(payload)])?;
+    if sent == 0 {
+        return Err(io::ErrorKind::WriteZero.into());
+    }
+    // A short write (full socket buffer) leaves a tail of the prefix,
+    // the payload, or both.
+    w.write_all(&len[sent.min(len.len())..])?;
+    w.write_all(&payload[sent.saturating_sub(len.len())..])
 }
 
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
@@ -479,5 +511,50 @@ mod tests {
         // EOF mid-header is an error, not a silent None.
         let mut r = io::Cursor::new(vec![1u8, 0]);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// Accepts at most `cap` bytes per write, from the first non-empty
+    /// slice only — the shortest writes a socket is allowed to make.
+    struct ShortWriter {
+        cap: usize,
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for ShortWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.cap);
+            self.out.extend_from_slice(&buf[..n]);
+            self.calls += 1;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_frame_write_matches_write_frame_under_short_writes() {
+        let payload: Vec<u8> = (0..=255u8).cycle().take(1_000).collect();
+        let mut want = Vec::new();
+        write_frame(&mut want, &payload).unwrap();
+        write_frame(&mut want, b"").unwrap();
+        // Caps that end the first write inside the prefix, at its end,
+        // inside the payload, and past the whole frame.
+        for cap in [1, 3, 4, 5, 999, 4_096] {
+            let mut w = ShortWriter { cap, out: Vec::new(), calls: 0 };
+            write_frame_vectored(&mut w, &payload).unwrap();
+            write_frame_vectored(&mut w, b"").unwrap();
+            assert_eq!(w.out, want, "cap {cap}");
+        }
+        // A writer with real vectored support takes a frame in one call.
+        let mut wire = Vec::new();
+        write_frame_vectored(&mut wire, &payload).unwrap();
+        assert_eq!(wire, want[..1_004]);
+        // A writer that accepts nothing is an error, not a spin.
+        let mut w = ShortWriter { cap: 0, out: Vec::new(), calls: 0 };
+        assert!(write_frame_vectored(&mut w, &payload).is_err());
+        assert_eq!(w.calls, 1);
     }
 }

@@ -251,30 +251,58 @@ pub fn simulate_tree_walk(
 // Multi-node histogram traffic
 // ---------------------------------------------------------------------
 
+/// The suspended vertex-total accumulator on the wire: four `(g, h)`
+/// partial lanes and the position.
+const DIST_ACC_BYTES: u64 = 64 + 8;
+
 /// Predicted Step-1 payload traffic of one distributed histogram build
-/// under the chained fixed-order reduction (`booster-dist`): `engaged`
-/// workers each receive a `BuildHist` request (row ids plus, after the
-/// first link, the running lanes) and answer with `HistDone` (the
-/// updated lanes), so the lane block crosses the wire `2·W − 1` times.
+/// under the chained fixed-order reduction (`booster-dist`): every
+/// engaged worker receives a `BuildHist` request (row ids plus, after
+/// the first link, the running lanes) and answers with `HistDone` (the
+/// updated lanes), so link `i`'s lane block crosses the wire twice —
+/// as its reply and as link `i + 1`'s carry — except the last one's:
+/// `2·W − 1` crossings. `blocks[i]` says how link `i`'s block was
+/// encoded: `None` for dense, `Some(occupied)` for sparse (the encoder
+/// picks per block from the occupancy it counted).
 ///
 /// Derivation, mirroring the wire layout byte for byte:
-/// - lane block: `4` (bin count) `+ 24·total_bins` (G, H, count lanes)
-///   `+ 64` (four suspended accumulator lanes) `+ 8` (position);
+/// - lane block: `4` (bin count) `+ 1` (mode) `+` body, dense body
+///   `24·total_bins` (G, H, count lanes), sparse body `4` (occupied
+///   count) `+ ⌈total_bins/8⌉` (bitmap) `+ 24·occupied`;
+/// - accumulator: `64` (four suspended lanes) `+ 8` (position);
 /// - request: `1` (op) `+ 4` (seq) `+ 4` (row count) `+ 4·rows`
-///   `+ 1` (carry flag) `+` lane block for every link after the first;
-/// - reply: `1` (op) `+ 4` (seq) `+` lane block.
+///   `+ 1` (carry flag) `+` block and accumulator for every link after
+///   the first;
+/// - reply: `1` (op) `+ 4` (seq) `+` block and accumulator.
 ///
 /// The `tests/sim_invariants.rs` cross-check holds this formula equal
 /// to the bytes the in-process transport actually counted, so the
 /// cluster discussion's traffic claims stay pinned to the real wire
 /// format. Payload bytes only — framing adds 4 bytes per frame, i.e.
 /// `8·engaged` per build.
-pub fn dist_step1_payload_bytes(total_bins: u64, engaged: u32, rows_shipped: u64) -> u64 {
-    let lane_block = 4 + 24 * total_bins + 64 + 8;
-    let links = u64::from(engaged);
-    let requests = links * (1 + 4 + 4 + 1) + 4 * rows_shipped + (links - 1) * lane_block;
-    let replies = links * (1 + 4) + links * lane_block;
+pub fn dist_step1_payload_bytes(total_bins: u64, rows_shipped: u64, blocks: &[Option<u64>]) -> u64 {
+    let links = blocks.len() as u64;
+    let lanes = |block: &Option<u64>| {
+        let body = match block {
+            None => 24 * total_bins,
+            Some(occupied) => 4 + total_bins.div_ceil(8) + 24 * occupied,
+        };
+        4 + 1 + body + DIST_ACC_BYTES
+    };
+    let carried: u64 = blocks.iter().rev().skip(1).map(lanes).sum();
+    let replied: u64 = blocks.iter().map(lanes).sum();
+    let requests = links * (1 + 4 + 4 + 1) + 4 * rows_shipped + carried;
+    let replies = links * (1 + 4) + replied;
     requests + replies
+}
+
+/// Predicted payload traffic of one totals-only Step-1 exchange — a
+/// vertex at `max_depth`, whose histogram nobody would scan: the same
+/// chain with the lanes left out. Request: `1` (op) `+ 4` (seq) `+ 4`
+/// (row count) `+ 4·rows +` accumulator; reply: `1 + 4 +` accumulator.
+pub fn dist_vertex_total_payload_bytes(engaged: u32, rows_shipped: u64) -> u64 {
+    let links = u64::from(engaged);
+    links * (1 + 4 + 4 + DIST_ACC_BYTES) + 4 * rows_shipped + links * (1 + 4 + DIST_ACC_BYTES)
 }
 
 #[cfg(test)]

@@ -67,8 +67,8 @@ fn main() {
         out.report.loss_history.len()
     );
     println!(
-        "wire traffic: {} frames, {} bytes across {} histogram builds",
-        summary.frames, summary.wire_bytes, summary.hist_builds
+        "wire traffic: {} frames, {} bytes across {} histogram builds and {} totals-only exchanges",
+        summary.frames, summary.wire_bytes, summary.hist_builds, summary.vertex_totals
     );
 
     // --- Serve the distributed-trained model over TCP. ----------------------

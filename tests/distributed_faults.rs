@@ -12,11 +12,13 @@ use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
 use booster_repro::datagen::{default_objective, generate_binned, Benchmark};
+use booster_repro::dist::proto::Msg;
 use booster_repro::dist::{
     train_distributed, ChannelComm, DistError, FaultKind, FaultyComm, ShardPlan, TcpComm,
     WorkerState,
 };
 use booster_repro::gbdt::columnar::ColumnarMirror;
+use booster_repro::gbdt::gradients::Loss;
 use booster_repro::gbdt::preprocess::BinnedDataset;
 use booster_repro::gbdt::train::TrainConfig;
 use booster_repro::serve::frame::{read_frame_limit, write_frame, DIST_MAX_FRAME_BYTES};
@@ -99,6 +101,63 @@ fn seeded_corruption_sweep_never_panics_or_hangs() {
         let offset = (point as usize) * 7 + 1;
         let _ = run_faulted(at_frame, FaultKind::XorByte(offset));
         let _ = run_faulted(at_frame, FaultKind::Truncate(point as usize));
+    }
+}
+
+/// Real Step-1 frames off a worker, corrupted one byte at a time and
+/// cut at every length: a carried lane block in each mode (sparse from
+/// a one-hot shard, dense from a numeric one) and a totals-only
+/// request. The decoder answers every one with a typed error or a
+/// valid message, and so does the worker behind it — bitmap, occupancy
+/// count, mode byte, bin count and accumulator included — without
+/// panicking and without allocating past the frame it was handed.
+#[test]
+fn corrupted_step1_frames_are_typed_errors_at_every_byte() {
+    // Half of a one-hot shard leaves most bins empty; all of a numeric
+    // shard whose bins were cut from these very records fills them.
+    for (bench, first_rows, want_sparse) in
+        [(Benchmark::Allstate, 8u32, true), (Benchmark::Higgs, 16, false)]
+    {
+        let (shard, _) = generate_binned(bench, 16, 13);
+        let mut worker = WorkerState::new(shard);
+        let init = Msg::Init { seq: 1, loss: Loss::SquaredError, base_score: 0.5 };
+        worker.handle_payload(&init.encode()).expect("init reply");
+        // Link 1 of a chain; its reply is link 2's carry.
+        let first = Msg::BuildHist { seq: 2, rows: (0..first_rows).collect(), carry: None };
+        let reply = worker.handle_payload(&first.encode()).expect("hist reply");
+        let Ok(Msg::HistDone { lanes, .. }) = Msg::decode(&reply) else {
+            panic!("{}: expected HistDone", bench.name())
+        };
+        assert_eq!(lanes.block.is_sparse(), want_sparse, "{}", bench.name());
+        let acc = lanes.acc;
+        let frames = [
+            Msg::BuildHist { seq: 3, rows: (8..16).collect(), carry: Some(lanes) }.encode(),
+            Msg::VertexTotal { seq: 4, rows: (8..16).collect(), acc }.encode(),
+            reply,
+        ];
+        for frame in &frames {
+            assert!(Msg::decode(frame).is_ok());
+            let mut attempts = 0usize;
+            for at in 0..frame.len() {
+                for flip in [0x01u8, 0xFF] {
+                    let mut bad = frame.clone();
+                    bad[at] ^= flip;
+                    if let Err(e) = Msg::decode(&bad) {
+                        assert!(matches!(e, DistError::Protocol(_)), "byte {at}: {e:?}");
+                    }
+                    // The worker behind the decoder: the head of the
+                    // frame (op, seq, row count, rows) and a stride
+                    // through the lanes, which dominate its length.
+                    if flip == 0xFF && (at < 128 || at % 61 == 0) {
+                        let answer = worker.handle_payload(&bad).expect("a reply, never a hangup");
+                        assert!(Msg::decode(&answer).is_ok(), "byte {at}: reply must decode");
+                        attempts += 1;
+                    }
+                }
+                assert!(Msg::decode(&frame[..at]).is_err(), "prefix {at} decoded");
+            }
+            assert!(attempts >= 128.min(frame.len()));
+        }
     }
 }
 

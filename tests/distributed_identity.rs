@@ -27,8 +27,9 @@ use booster_repro::dist::{
 use booster_repro::gbdt::columnar::ColumnarMirror;
 use booster_repro::gbdt::gradients::Objective;
 use booster_repro::gbdt::grow::{grow_forest_with_eval, GrowthStrategy};
+use booster_repro::gbdt::parallel::ParallelExec;
 use booster_repro::gbdt::predict::Model;
-use booster_repro::gbdt::preprocess::BinnedDataset;
+use booster_repro::gbdt::preprocess::{BinMatrix, BinnedDataset};
 use booster_repro::gbdt::train::{
     EarlyStopping, EvalSet, SequentialExec, TrainConfig, TrainReport,
 };
@@ -74,6 +75,30 @@ fn run_jittered(
     let shards = plan.shard(data).expect("plan covers the dataset");
     let comm = ChannelComm::spawn(shards, TIMEOUT);
     train_distributed(data, mirror, cfg, comm, &plan).expect("distributed run")
+}
+
+/// Train over real sockets: one `serve_worker_tcp` thread per shard.
+fn run_tcp(
+    data: &BinnedDataset,
+    mirror: &ColumnarMirror,
+    cfg: &TrainConfig,
+    workers: usize,
+) -> DistOutcome {
+    let plan = ShardPlan::even(data.num_records(), workers);
+    let shards = plan.shard(data).expect("plan covers the dataset");
+    let mut addrs = Vec::new();
+    let mut handles = Vec::new();
+    for shard in shards {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker");
+        addrs.push(listener.local_addr().expect("local addr"));
+        handles.push(std::thread::spawn(move || serve_worker_tcp(shard, listener)));
+    }
+    let comm = TcpComm::connect(&addrs, TIMEOUT).expect("connect workers");
+    let out = train_distributed(data, mirror, cfg, comm, &plan).expect("distributed run");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker served cleanly");
+    }
+    out
 }
 
 proptest! {
@@ -164,20 +189,61 @@ fn tcp_transport_is_bit_identical_to_local() {
     };
     let local = grow_forest_with_eval(&data, &mirror, &cfg, &SequentialExec, None);
     for workers in [2usize, 4] {
-        let plan = ShardPlan::even(data.num_records(), workers);
-        let shards = plan.shard(&data).expect("plan covers the dataset");
-        let mut addrs = Vec::new();
-        let mut handles = Vec::new();
-        for shard in shards {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind worker");
-            addrs.push(listener.local_addr().expect("local addr"));
-            handles.push(std::thread::spawn(move || serve_worker_tcp(shard, listener)));
-        }
-        let comm = TcpComm::connect(&addrs, TIMEOUT).expect("connect workers");
-        let out = train_distributed(&data, &mirror, &cfg, comm, &plan).expect("distributed run");
+        let out = run_tcp(&data, &mirror, &cfg, workers);
         assert_identical(&local, &out, &format!("tcp, N={workers}"));
-        for h in handles {
-            h.join().expect("worker thread").expect("worker served cleanly");
+    }
+}
+
+/// A wide-bin dataset (one-hot fields: `u32` bin columns, thousands of
+/// bins, most of them empty at any vertex) grown to `max_depth`: the
+/// lane blocks go out sparse and the last level's totals ride the
+/// lanes-free chain. Sequential == Parallel == Dist(N) for N ∈ {1, 2,
+/// 4, 8} on even and jittered plans over channels, and over TCP.
+#[test]
+fn wide_bin_sparse_blocks_and_totals_only_chains_are_bit_identical_to_local() {
+    let (data, mirror) = generate_binned(Benchmark::Allstate, 700, 23);
+    assert!(matches!(data.matrix(), BinMatrix::Wide(_)), "bins must not fit a byte");
+    assert!(data.total_bins() > 256);
+    for growth in GROWTHS {
+        let cfg = TrainConfig {
+            num_trees: 3,
+            max_depth: 4,
+            subsample: 0.85,
+            colsample_bynode: 0.8,
+            seed: 41,
+            growth,
+            objective: default_objective(Benchmark::Allstate),
+            ..Default::default()
+        };
+        let local = grow_forest_with_eval(&data, &mirror, &cfg, &SequentialExec, None);
+        let parallel =
+            grow_forest_with_eval(&data, &mirror, &cfg, &ParallelExec { chunk_size: 64 }, None);
+        assert_eq!(local.0.trees, parallel.0.trees, "{growth:?}: parallel");
+        assert_eq!(bits(&local.1.loss_history), bits(&parallel.1.loss_history), "{growth:?}");
+
+        for workers in [1usize, 2, 4, 8] {
+            let even = train_distributed_threads(&data, &mirror, &cfg, workers, TIMEOUT)
+                .expect("distributed run");
+            assert_identical(&local, &even, &format!("{growth:?}, N={workers}, even plan"));
+            let jittered = run_jittered(&data, &mirror, &cfg, workers, 0xD157 + workers as u64);
+            assert_identical(&local, &jittered, &format!("{growth:?}, N={workers}, jittered"));
+
+            // Both new wire shapes were really on the wire.
+            let stats = &even.stats;
+            let sparse = stats.bin_events.iter().flat_map(|e| &e.blocks).filter(|b| b.sparse);
+            assert!(sparse.count() > 0, "{growth:?}, N={workers}: no sparse lane block");
+            assert!(!stats.total_events.is_empty(), "{growth:?}, N={workers}: no totals chain");
+            assert!(stats.total_events.iter().all(|e| e.engaged as usize <= workers));
+            // The engine's own count of what it binned matches local's.
+            assert_eq!(
+                format!("{:?}", even.report.work),
+                format!("{:?}", local.1.work),
+                "{growth:?}, N={workers}: work counters"
+            );
+        }
+        for workers in [2usize, 4] {
+            let out = run_tcp(&data, &mirror, &cfg, workers);
+            assert_identical(&local, &out, &format!("{growth:?}, tcp, N={workers}"));
         }
     }
 }

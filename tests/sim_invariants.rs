@@ -151,58 +151,108 @@ fn energy_counters_are_consistent() {
 }
 
 /// The cluster-level histogram-traffic model is pinned to reality: the
-/// formula in `sim::cluster_sim::dist_step1_payload_bytes` must equal,
-/// byte for byte, what the in-process distributed transport actually
-/// counted for the same run — across worker counts and under
-/// stochastic sampling (which changes the row ids shipped per build).
+/// formulas in `sim::cluster_sim` (`dist_step1_payload_bytes` for a
+/// histogram build, `dist_vertex_total_payload_bytes` for a vertex at
+/// `max_depth`) must equal, byte for byte, what the in-process
+/// distributed transport actually counted for the same run — across
+/// worker counts, under stochastic sampling (which changes the row ids
+/// shipped per build), on a wide one-hot dataset whose lane blocks go
+/// out sparse, and on trees that never reach `max_depth` (no
+/// totals-only exchange) as well as trees that do.
 #[test]
 fn cluster_histogram_traffic_model_matches_measured_bytes() {
     use std::time::Duration;
 
-    use booster_repro::dist::proto::{OP_BUILD_HIST, OP_HIST_DONE};
+    use booster_repro::dist::proto::{OP_BUILD_HIST, OP_HIST_DONE, OP_TOTAL_DONE, OP_VERTEX_TOTAL};
     use booster_repro::dist::train_distributed_threads;
-    use booster_repro::sim::cluster_sim::dist_step1_payload_bytes;
+    use booster_repro::sim::cluster_sim::{
+        dist_step1_payload_bytes, dist_vertex_total_payload_bytes,
+    };
 
-    for (workers, subsample) in [(2usize, 1.0), (4, 1.0), (3, 0.6)] {
-        let (data, mirror) = generate_binned(Benchmark::Higgs, 600, 21);
+    let (mut saw_sparse, mut saw_dense, mut saw_totals, mut saw_no_totals) =
+        (false, false, false, false);
+    for (bench, records, workers, subsample, max_depth) in [
+        (Benchmark::Higgs, 600, 2usize, 1.0, 4),
+        (Benchmark::Higgs, 600, 4, 1.0, 4),
+        (Benchmark::Higgs, 600, 3, 0.6, 4),
+        // Allstate-shaped: 4 232 one-hot bins over 900 records.
+        (Benchmark::Allstate, 900, 2, 1.0, 4),
+        (Benchmark::Allstate, 900, 4, 0.7, 3),
+        // Deeper than the data can split: leaves stop short of
+        // `max_depth`, so every Step-1 exchange is a histogram build.
+        (Benchmark::Higgs, 40, 2, 1.0, 12),
+    ] {
+        let (data, mirror) = generate_binned(bench, records, 21);
         let cfg = TrainConfig {
             num_trees: 3,
-            max_depth: 4,
+            max_depth,
             subsample,
             seed: 5,
-            objective: default_objective(Benchmark::Higgs),
+            objective: default_objective(bench),
             ..Default::default()
         };
         let out = train_distributed_threads(&data, &mirror, &cfg, workers, Duration::from_secs(20))
             .expect("distributed run");
-        let what = format!("N={workers}, subsample={subsample}");
+        let what = format!("{}, N={workers}, subsample={subsample}", bench.name());
+        let (stats, comm) = (&out.stats, &out.stats.comm);
 
-        // Model vs measurement, exactly.
-        let predicted: u64 = out
-            .stats
+        // Model vs measurement, exactly — histogram builds ...
+        let predicted: u64 = stats
             .bin_events
             .iter()
-            .map(|e| dist_step1_payload_bytes(data.total_bins(), e.engaged, e.rows_shipped))
+            .map(|e| {
+                assert_eq!(e.blocks.len(), e.engaged as usize, "{what}: one block per link");
+                let blocks: Vec<Option<u64>> =
+                    e.blocks.iter().map(|b| b.sparse.then_some(u64::from(b.occupied))).collect();
+                dist_step1_payload_bytes(data.total_bins(), e.rows_shipped, &blocks)
+            })
             .sum();
-        let measured =
-            out.stats.comm.bytes_for_op(OP_BUILD_HIST) + out.stats.comm.bytes_for_op(OP_HIST_DONE);
-        assert_eq!(predicted, measured, "{what}: predicted vs measured Step-1 bytes");
+        let measured = comm.bytes_for_op(OP_BUILD_HIST) + comm.bytes_for_op(OP_HIST_DONE);
+        assert_eq!(predicted, measured, "{what}: predicted vs measured histogram bytes");
+        // ... and totals-only exchanges.
+        let predicted: u64 = stats
+            .total_events
+            .iter()
+            .map(|e| dist_vertex_total_payload_bytes(e.engaged, e.rows_shipped))
+            .sum();
+        let measured_totals = comm.bytes_for_op(OP_VERTEX_TOTAL) + comm.bytes_for_op(OP_TOTAL_DONE);
+        assert_eq!(predicted, measured_totals, "{what}: predicted vs measured totals-only bytes");
 
         // The per-frame log agrees with the per-op counters, and the
         // per-event chain lengths account for every request frame.
-        let logged: u64 = out
-            .stats
-            .comm
+        let logged: u64 = comm
             .frame_log
             .iter()
             .filter(|f| f.op == OP_BUILD_HIST || f.op == OP_HIST_DONE)
             .map(|f| u64::from(f.payload_bytes))
             .sum();
         assert_eq!(logged, measured, "{what}: frame log vs per-op counters");
-        let request_frames =
-            out.stats.comm.frame_log.iter().filter(|f| f.sent && f.op == OP_BUILD_HIST).count()
-                as u64;
-        let engaged_sum: u64 = out.stats.bin_events.iter().map(|e| u64::from(e.engaged)).sum();
-        assert_eq!(request_frames, engaged_sum, "{what}: one request per engaged worker");
+        let requests =
+            |op: u8| comm.frame_log.iter().filter(|f| f.sent && f.op == op).count() as u64;
+        let engaged_sum: u64 = stats.bin_events.iter().map(|e| u64::from(e.engaged)).sum();
+        assert_eq!(requests(OP_BUILD_HIST), engaged_sum, "{what}: one request per engaged worker");
+        let engaged_sum: u64 = stats.total_events.iter().map(|e| u64::from(e.engaged)).sum();
+        assert_eq!(
+            requests(OP_VERTEX_TOTAL),
+            engaged_sum,
+            "{what}: one request per engaged worker"
+        );
+
+        // Every split bins or totals its smaller child, never both: the
+        // builds beyond the roots plus the totals are the splits.
+        let splits: usize = out.model.trees.iter().map(|t| t.num_leaves() - 1).sum();
+        let roots = out.model.trees.len();
+        assert_eq!(stats.bin_events.len() - roots + stats.total_events.len(), splits, "{what}");
+
+        let blocks = || stats.bin_events.iter().flat_map(|e| &e.blocks);
+        saw_sparse |= blocks().any(|b| b.sparse);
+        saw_dense |= blocks().any(|b| !b.sparse);
+        saw_totals |= !stats.total_events.is_empty();
+        saw_no_totals |= stats.total_events.is_empty() && splits > 0;
+        if bench == Benchmark::Allstate {
+            assert!(blocks().any(|b| b.sparse), "{what}: a one-hot vertex must ship sparse");
+        }
     }
+    assert!(saw_sparse && saw_dense, "both lane-block modes must have been priced");
+    assert!(saw_totals && saw_no_totals, "runs with and without totals-only exchanges");
 }
